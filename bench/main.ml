@@ -1,11 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5) as text, and optionally times the hot simulator
-   components with Bechamel.
+   evaluation (Section 5) as text.
 
    Usage:
      dune exec bench/main.exe                -- everything
      dune exec bench/main.exe fig7 fig8      -- selected figures
-     dune exec bench/main.exe micro          -- Bechamel microbenchmarks
      dune exec bench/main.exe --eval N --train M fig9
      dune exec bench/main.exe --jobs 8 fig7  -- grid cells on 8 worker domains
 
@@ -17,72 +15,6 @@
    that crashes is logged and skipped (marker line + nonzero exit)
    instead of killing the whole sweep.
 *)
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let trace =
-    Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:20_000 "mcf")
-  in
-  let deps = Deps.compute trace in
-  let scheduler_pick =
-    Test.make ~name:"scheduler-select"
-      (Staged.stage (fun () ->
-           let sched = Scheduler.create ~slots:96 Scheduler.Crisp in
-           for i = 0 to 63 do
-             match Scheduler.allocate sched ~critical:(i land 7 = 0) with
-             | Some slot -> Scheduler.mark_ready sched slot
-             | None -> ()
-           done;
-           Scheduler.begin_cycle sched;
-           let rec drain n = if n > 0 && Scheduler.select sched >= 0 then drain (n - 1) in
-           drain 6))
-  in
-  let cache_access =
-    let cache =
-      Cache.create ~name:"bench"
-        { Cache.size_bytes = 32 * 1024; assoc = 8; line_bytes = 64 }
-    in
-    let counter = ref 0 in
-    Test.make ~name:"cache-access"
-      (Staged.stage (fun () ->
-           incr counter;
-           ignore (Cache.access cache ~addr:(!counter * 64 mod (1 lsl 20)))))
-  in
-  let tage_predict =
-    let tage = Tage.create () in
-    let pc = ref 0 in
-    Test.make ~name:"tage-predict-update"
-      (Staged.stage (fun () ->
-           pc := (!pc + 13) land 1023;
-           ignore (Tage.predict_and_update tage ~pc:!pc ~taken:(!pc land 3 <> 0))))
-  in
-  let slice_extract =
-    Test.make ~name:"slice-extract"
-      (Staged.stage (fun () ->
-           ignore (Slicer.extract ~max_instances:4 trace deps ~root_pc:5)))
-  in
-  let simulate =
-    let small = Workload.trace (Catalog.make ~input:Workload.Ref ~instrs:5_000 "mcf") in
-    Test.make ~name:"cpu-simulate-5k"
-      (Staged.stage (fun () -> ignore (Cpu_core.run Cpu_config.skylake small)))
-  in
-  let tests = [ scheduler_pick; cache_access; tage_predict; slice_extract; simulate ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  print_endline "\n== Microbenchmarks (Bechamel, monotonic clock, ns/run) ==";
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test
-      in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ estimate ] -> Printf.printf "%-28s %12.1f ns\n" name estimate
-          | Some _ | None -> Printf.printf "%-28s (no estimate)\n" name)
-        analyzed)
-    tests
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -128,7 +60,6 @@ let () =
     | "static_crit" -> ignore (Experiments.static_crit ~sizes ())
     | "ablations" -> ignore (Experiments.ablations ~sizes ())
     | "division" -> ignore (Experiments.division ~sizes ())
-    | "micro" -> micro_benchmarks ()
     | other ->
       Printf.eprintf "unknown figure %S\n" other;
       exit 2
@@ -139,9 +70,7 @@ let () =
     else run_one name
   in
   (match figures with
-  | [] ->
-    Experiments.run_all ~sizes ();
-    micro_benchmarks ()
+  | [] -> Experiments.run_all ~sizes ()
   | figures -> List.iter run_one figures);
   (* Farm-load / cache-effectiveness counters on stderr, so figure text on
      stdout stays byte-identical across --jobs values. *)

@@ -1,105 +1,74 @@
-(* Backward-collect one dynamic slice instance with per-instance static
-   termination (as in the slicer) and record in-slice producer edges. *)
-let collect dyns (deps : Deps.t) ~follow_memory root_idx =
-  let seen_pc = Hashtbl.create 64 in
-  Hashtbl.add seen_pc dyns.(root_idx).Executor.pc ();
-  let producers = Hashtbl.create 64 in
-  let nodes = ref [ root_idx ] in
-  let frontier = Stack.create () in
-  Stack.push root_idx frontier;
-  while not (Stack.is_empty frontier) do
-    let i = Stack.pop frontier in
-    let prods = ref [] in
-    let explore p =
-      if p >= 0 then begin
-        prods := p :: !prods;
-        let ppc = dyns.(p).Executor.pc in
-        if not (Hashtbl.mem seen_pc ppc) then begin
-          Hashtbl.add seen_pc ppc ();
-          nodes := p :: !nodes;
-          Stack.push p frontier
-        end
-      end
-    in
-    explore deps.Deps.prod1.(i);
-    explore deps.Deps.prod2.(i);
-    if follow_memory then explore deps.Deps.prod_mem.(i);
-    Hashtbl.replace producers i !prods
+(* Position of dynamic node [p] in [witness.(lo..hi)], ascending, or -1. *)
+let rec find witness p lo hi =
+  if lo > hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    if witness.(mid) = p then mid
+    else if witness.(mid) < p then find witness p (mid + 1) hi
+    else find witness p lo (mid - 1)
+
+(* Path latencies over one walk witness, in flat arrays indexed by the
+   node's position in the witness: up = longest path from a leaf to the
+   node, down = longest path from the node to the root.  Ascending
+   dynamic order is a topological order (producers precede), so a
+   producer of the [k]-th node is in the witness exactly when it is found
+   among the first [k].  Calls [f longest i through] on every node [i],
+   where through = up + down - latency and [longest] is the root's up
+   (the instance's longest path, which bounds every through); returns
+   [longest].  [up] and [down] are scratch, at least as long as
+   [witness]. *)
+let fold_through (deps : Deps.t) ~follow_memory ~latency_of ~up ~down witness f =
+  let n = Array.length witness in
+  let pos k p = if p < 0 then -1 else find witness p 0 (k - 1) in
+  let up_of k p =
+    let j = pos k p in
+    if j < 0 then 0 else up.(j)
+  in
+  let lengthen k p d =
+    let j = pos k p in
+    if j >= 0 then down.(j) <- Int.max down.(j) (latency_of p + d)
+  in
+  for k = 0 to n - 1 do
+    let i = witness.(k) in
+    let best = Int.max (up_of k deps.Deps.prod1.(i)) (up_of k deps.Deps.prod2.(i)) in
+    let best = if follow_memory then Int.max best (up_of k deps.Deps.prod_mem.(i)) else best in
+    up.(k) <- latency_of i + best;
+    down.(k) <- latency_of i
   done;
-  (List.sort_uniq compare !nodes, producers)
+  for k = n - 1 downto 0 do
+    let i = witness.(k) in
+    lengthen k deps.Deps.prod1.(i) down.(k);
+    lengthen k deps.Deps.prod2.(i) down.(k);
+    if follow_memory then lengthen k deps.Deps.prod_mem.(i) down.(k)
+  done;
+  let longest = if n = 0 then 0 else up.(n - 1) in
+  Array.iteri (fun k i -> f longest i (up.(k) + down.(k) - latency_of i)) witness;
+  longest
 
-(* Aggregated path latency through every node of one instance DAG:
-   up = longest leaf-to-node path, down = longest node-to-root path;
-   through = up + down - latency(node). *)
-let through_scores dyns producers nodes ~latency_of ~root_idx =
-  ignore dyns;
-  let up = Hashtbl.create 64 in
-  let down = Hashtbl.create 64 in
-  let prods_of i = Option.value ~default:[] (Hashtbl.find_opt producers i) in
-  (* Ascending dynamic order is a topological order (producers precede). *)
-  List.iter
-    (fun i ->
-      let best =
-        List.fold_left
-          (fun acc p ->
-            match Hashtbl.find_opt up p with
-            | Some u -> max acc u
-            | None -> acc)
-          0 (prods_of i)
-      in
-      Hashtbl.replace up i (latency_of i + best))
-    nodes;
-  List.iter
-    (fun i ->
-      if not (Hashtbl.mem down i) then Hashtbl.replace down i (latency_of i))
-    (List.rev nodes);
-  List.iter
-    (fun i ->
-      let d = Hashtbl.find down i in
-      List.iter
-        (fun p ->
-          let candidate = latency_of p + d in
-          match Hashtbl.find_opt down p with
-          | Some existing when existing >= candidate -> ()
-          | Some _ | None -> Hashtbl.replace down p candidate)
-        (prods_of i))
-    (List.rev nodes);
-  let through i = Hashtbl.find up i + Hashtbl.find down i - latency_of i in
-  (through, Hashtbl.find up root_idx)
-
-let sample_roots dyns pc n =
-  let all = ref [] in
-  Array.iteri
-    (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
-    dyns;
-  let all = Array.of_list (List.rev !all) in
-  let total = Array.length all in
-  if total <= n then Array.to_list all
-  else List.init n (fun k -> all.(k * total / n))
-
-let filter ?(max_instances = 32) ?(follow_memory = true) ?(theta = 0.6)
-    (trace : Executor.t) (deps : Deps.t) ~root_pc ~latency_of =
+let filter_slice ?(theta = 0.6) (trace : Executor.t) deps (slice : Slicer.t) ~latency_of
+    =
   let dyns = trace.Executor.dyns in
-  let num_pcs = Array.length trace.Executor.prog.Program.code in
-  let keep = Array.make num_pcs false in
-  keep.(root_pc) <- true;
-  List.iter
-    (fun root_idx ->
-      let nodes, producers = collect dyns deps ~follow_memory root_idx in
-      let through, max_through =
-        through_scores dyns producers nodes ~latency_of ~root_idx
-      in
-      let cutoff = theta *. float_of_int max_through in
-      List.iter
-        (fun i ->
-          if float_of_int (through i) >= cutoff then keep.(dyns.(i).Executor.pc) <- true)
-        nodes)
-    (sample_roots dyns root_pc max_instances);
+  let keep = Array.make (Array.length slice.Slicer.pcs) false in
+  keep.(slice.Slicer.root_pc) <- true;
+  let len = Array.fold_left (fun m w -> max m (Array.length w)) 0 slice.Slicer.witnesses in
+  let up = Array.make len 0 and down = Array.make len 0 in
+  Array.iter
+    (fun witness ->
+      ignore
+        (fold_through deps ~follow_memory:slice.Slicer.follow_memory ~latency_of ~up ~down
+           witness (fun longest i through ->
+             if float_of_int through >= theta *. float_of_int longest then
+               keep.(dyns.(i).Executor.pc) <- true)))
+    slice.Slicer.witnesses;
   keep
 
-let longest_path ?(follow_memory = true) (trace : Executor.t) (deps : Deps.t)
-    ~root_idx ~latency_of =
-  let dyns = trace.Executor.dyns in
-  let nodes, producers = collect dyns deps ~follow_memory root_idx in
-  let _, max_through = through_scores dyns producers nodes ~latency_of ~root_idx in
-  max_through
+let filter ?max_instances ?follow_memory ?theta trace deps ~root_pc ~latency_of =
+  filter_slice ?theta trace deps
+    (Slicer.extract ?max_instances ?follow_memory trace deps ~root_pc)
+    ~latency_of
+
+let longest_path ?(follow_memory = true) trace deps ~root_idx ~latency_of =
+  let witness = Slicer.witness ~follow_memory trace deps ~root_idx in
+  let n = Array.length witness in
+  fold_through deps ~follow_memory ~latency_of ~up:(Array.make n 0) ~down:(Array.make n 0)
+    witness (fun _ _ _ -> ())

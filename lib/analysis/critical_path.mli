@@ -7,7 +7,10 @@
     by its execution latency (loads by their AMAT estimate), the aggregated
     path latency through each node is computed, and only nodes whose best
     path reaches at least [theta] of the instance's longest path are kept.
-    The kept static pcs of all instances are unioned. *)
+    The kept static pcs of all instances are unioned.
+
+    The instance DAGs are the {!Slicer.t} witnesses: this module folds
+    over the slicer's walk instead of repeating it. *)
 
 val filter :
   ?max_instances:int ->
@@ -21,7 +24,17 @@ val filter :
 (** [filter trace deps ~root_pc ~latency_of] returns a static membership
     map (indexed by pc) of the critical-path-filtered slice.  [latency_of]
     maps a {e dynamic} instruction index to its latency weight.  [theta]
-    defaults to 0.6; the root is always kept. *)
+    defaults to 0.6; the root is always kept.  Equivalent to
+    {!filter_slice} on [Slicer.extract ?max_instances ?follow_memory]. *)
+
+val filter_slice :
+  ?theta:float ->
+  Executor.t ->
+  Deps.t ->
+  Slicer.t ->
+  latency_of:(int -> int) ->
+  bool array
+(** [filter] on an already extracted slice, reusing its witnesses. *)
 
 val longest_path :
   ?follow_memory:bool ->

@@ -60,13 +60,8 @@ let build_slice options trace deps report mem_params ~root_pc ~kind ~contributio
   in
   let kept_pcs =
     if options.critical_path_filter then begin
-      let dyns = trace.Executor.dyns in
-      let latency_of = latency_of_dyn report mem_params dyns in
-      let keep =
-        Critical_path.filter ~max_instances:options.max_instances
-          ~follow_memory:options.follow_memory ~theta:options.theta trace deps
-          ~root_pc ~latency_of
-      in
+      let latency_of = latency_of_dyn report mem_params trace.Executor.dyns in
+      let keep = Critical_path.filter_slice ~theta:options.theta trace deps full ~latency_of in
       List.filter (fun pc -> keep.(pc)) full.Slicer.pc_list
     end
     else full.Slicer.pc_list

@@ -11,51 +11,69 @@ let pp_violation fmt v =
 (* Slice closure                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Even instance sampling, mirroring the published contract of
+(* The roots the slicer must walk, by the published sampling contract of
    Slicer.extract: at most [n] dynamic instances of [pc], evenly spaced
    over the trace. *)
-let sample_instances dyns pc n =
+let sampled_roots dyns pc n =
   let all = ref [] in
   Array.iteri
     (fun i (d : Executor.dyn) -> if d.Executor.pc = pc then all := i :: !all)
     dyns;
   let all = Array.of_list (List.rev !all) in
   let total = Array.length all in
-  if total <= n then Array.to_list all else List.init n (fun k -> all.(k * total / n))
+  if total <= n then all else Array.init n (fun k -> all.(k * total / n))
 
-(* Independent closure: recursive backward walk per sampled instance,
-   expansion of an ancestor stopping once its static pc was seen in this
-   instance (the paper's recursive-dependency termination), memberships
-   merged across instances. *)
-let expected_closure (trace : Executor.t) (deps : Deps.t) ~max_instances ~follow_memory
-    ~root_pc =
-  let dyns = trace.Executor.dyns in
-  let num_pcs = Array.length trace.Executor.prog.Program.code in
-  let members = Array.make num_pcs false in
-  members.(root_pc) <- true;
-  let roots = sample_instances dyns root_pc max_instances in
-  List.iter
-    (fun root_idx ->
-      let seen = Hashtbl.create 64 in
-      Hashtbl.add seen dyns.(root_idx).Executor.pc ();
-      let rec visit i =
-        let expand p =
-          if p >= 0 then begin
-            let ppc = dyns.(p).Executor.pc in
-            members.(ppc) <- true;
-            if not (Hashtbl.mem seen ppc) then begin
-              Hashtbl.add seen ppc ();
-              visit p
-            end
-          end
-        in
-        expand deps.Deps.prod1.(i);
-        expand deps.Deps.prod2.(i);
-        if follow_memory then expand deps.Deps.prod_mem.(i)
-      in
-      visit root_idx)
-    roots;
-  members
+let producers (deps : Deps.t) ~follow_memory i =
+  List.filter (fun p -> p >= 0)
+    [ deps.Deps.prod1.(i);
+      deps.Deps.prod2.(i);
+      (if follow_memory then deps.Deps.prod_mem.(i) else -1) ]
+
+(* One witness against the Section 3.3 rule, order-free: the nodes are
+   ascending dynamic indices ending at [root], with at most one node per
+   pc; every other node directly feeds a node of the witness; and every
+   producer of every node has its pc in the witness, so nothing was left
+   unexpanded.  Any visit order yields a witness of this shape.  Marks
+   the witness pcs in [members]. *)
+let check_witness ~add dyns deps ~follow_memory ~members k root (w : int array) =
+  let fail pc fmt = Format.kasprintf (add pc) fmt in
+  let n = Array.length w in
+  let in_trace i = i >= 0 && i < Array.length dyns in
+  let ascending = ref true in
+  Array.iteri
+    (fun j i -> if not (in_trace i && (j = 0 || w.(j - 1) < i)) then ascending := false)
+    w;
+  if n = 0 || w.(n - 1) <> root then
+    fail (-1) "witness %d does not end at its sampled root instance %d" k root
+  else if not !ascending then
+    fail (-1) "witness %d is not ascending dynamic indices of the trace" k
+  else begin
+    let pc_of i = dyns.(i).Executor.pc in
+    let node = Hashtbl.create n in
+    Array.iter
+      (fun i ->
+        if Hashtbl.mem node (pc_of i) then
+          fail (pc_of i) "witness %d expands this pc more than once" k
+        else Hashtbl.replace node (pc_of i) i)
+      w;
+    let feeds = Hashtbl.create n in
+    Array.iter
+      (fun i ->
+        List.iter
+          (fun p ->
+            match Hashtbl.find_opt node (pc_of p) with
+            | Some q -> if q = p then Hashtbl.replace feeds p ()
+            | None ->
+              fail (pc_of p) "witness %d leaves producer %d of node %d unexpanded" k p i)
+          (producers deps ~follow_memory i))
+      w;
+    Array.iter
+      (fun i ->
+        members.(pc_of i) <- true;
+        if i <> root && not (Hashtbl.mem feeds i) then
+          fail (pc_of i) "witness %d node %d feeds no node of the witness" k i)
+      w
+  end
 
 (* All (producer pc, consumer pc) pairs that occur anywhere in the trace's
    dependency relation — the universe recorded slice edges must live in. *)
@@ -64,22 +82,17 @@ let dependency_pairs (trace : Executor.t) (deps : Deps.t) ~follow_memory =
   let pairs = Hashtbl.create 1024 in
   Array.iteri
     (fun i (d : Executor.dyn) ->
-      let add p =
-        if p >= 0 then
-          Hashtbl.replace pairs (dyns.(p).Executor.pc, d.Executor.pc) ()
-      in
-      add deps.Deps.prod1.(i);
-      add deps.Deps.prod2.(i);
-      if follow_memory then add deps.Deps.prod_mem.(i))
+      List.iter
+        (fun p -> Hashtbl.replace pairs (dyns.(p).Executor.pc, d.Executor.pc) ())
+        (producers deps ~follow_memory i))
     dyns;
   pairs
 
 let verify_slice ?(max_instances = 32) ?(follow_memory = true) (trace : Executor.t)
     (deps : Deps.t) (slice : Slicer.t) =
   let violations = ref [] in
-  let fail pc fmt =
-    Format.kasprintf (fun reason -> violations := { pc; reason } :: !violations) fmt
-  in
+  let add pc reason = violations := { pc; reason } :: !violations in
+  let fail pc fmt = Format.kasprintf (add pc) fmt in
   let num_pcs = Array.length trace.Executor.prog.Program.code in
   let root = slice.Slicer.root_pc in
   if Array.length slice.Slicer.pcs <> num_pcs then
@@ -124,15 +137,38 @@ let verify_slice ?(max_instances = 32) ?(follow_memory = true) (trace : Executor
         if not connected.(pc) then
           fail pc "member does not reach the root through any dependency edge")
       slice.Slicer.pc_list;
-    (* Closure: the independently recomputed backward closure must match
-       the slice's membership set exactly. *)
-    let expected = expected_closure trace deps ~max_instances ~follow_memory ~root_pc:root in
-    for pc = 0 to num_pcs - 1 do
-      if expected.(pc) && not slice.Slicer.pcs.(pc) then
-        fail pc "backward closure member missing from the slice (not closed)";
-      if slice.Slicer.pcs.(pc) && not expected.(pc) then
-        fail pc "spurious member outside the backward closure"
-    done
+    (* Witnesses: walked from exactly the sampled roots, each a valid
+       backward closure, and together they define the members. *)
+    if slice.Slicer.follow_memory <> follow_memory then
+      fail (-1) "slice records follow_memory=%b, verified with %b"
+        slice.Slicer.follow_memory follow_memory;
+    let dyns = trace.Executor.dyns in
+    let roots = sampled_roots dyns root max_instances in
+    let witnesses = slice.Slicer.witnesses in
+    if Array.length witnesses <> Array.length roots || slice.Slicer.instances <> Array.length roots
+    then
+      fail root "%d witnesses over %d instances, but sampling gives %d roots"
+        (Array.length witnesses) slice.Slicer.instances (Array.length roots)
+    else begin
+      let members = Array.make num_pcs false in
+      members.(root) <- true;
+      Array.iteri
+        (fun k w -> check_witness ~add dyns deps ~follow_memory ~members k roots.(k) w)
+        witnesses;
+      for pc = 0 to num_pcs - 1 do
+        if members.(pc) && not slice.Slicer.pcs.(pc) then
+          fail pc "pc expanded by a witness is missing from the slice (not closed)";
+        if slice.Slicer.pcs.(pc) && not members.(pc) then
+          fail pc "spurious member expanded by no witness"
+      done;
+      let nodes = Array.fold_left (fun n w -> n + Array.length w) 0 witnesses in
+      let avg =
+        if roots = [||] then 0. else float_of_int nodes /. float_of_int (Array.length roots)
+      in
+      if Float.abs (avg -. slice.Slicer.avg_dynamic_length) > 1e-9 then
+        fail root "avg_dynamic_length %.3f disagrees with %.3f from the witnesses"
+          slice.Slicer.avg_dynamic_length avg
+    end
   end;
   List.rev !violations
 

@@ -4,15 +4,19 @@
     every CRISP result; a bug in either silently corrupts all figures.
     This pass re-derives their outputs from first principles and diffs:
 
-    {b Slice closure} ({!verify_slice}): recompute the backward dependency
-    closure of the root directly from {!Deps.t} with an independent walk
-    (same even instance sampling, per-instance recursion-termination rule
-    of paper Section 3.3) and require the slice's static membership set to
-    match exactly — no missing ancestors, no spurious members.  Structural
-    invariants on the slice value itself: the root is a member, [pc_list]
-    is the sorted enumeration of [pcs], every recorded edge joins two
-    members and corresponds to a dependency that actually occurs in the
-    trace, and every member reaches the root through the edge list.
+    {b Slice closure} ({!verify_slice}): check the walk's witnesses
+    against an order-free statement of the paper's Section 3.3 rule, using
+    only {!Deps.t}.  The witness roots are exactly the evenly sampled root
+    instances; each witness is ascending, ends at its root and has at most
+    one node per pc; every other node directly produces a node of the same
+    witness; every producer of every node has its pc in the witness (no
+    unexpanded ancestor); and the members are exactly the root pc plus the
+    witness pcs.  Any visit order of the walk passes, so the check does
+    not depend on the slicer's LIFO order.  Structural invariants on the
+    slice value itself: the root is a member, [pc_list] is the sorted
+    enumeration of [pcs], every recorded edge joins two members and
+    corresponds to a dependency that actually occurs in the trace, and
+    every member reaches the root through the edge list.
 
     {b Tag budget} ({!verify_tagging}): replay the ratio-guardrail
     admission of paper Section 3.2 over the tagger's slice list —

@@ -397,6 +397,96 @@ let test_slice_verifier_rejects_corruption () =
        edge_violations
     && edge_violations <> [])
 
+(* Two dynamic instances of pc 2 with different producers:
+     dyn 0:pc4  1:pc2<-0  2:pc3  3:pc2<-2  4:pc1<-1  5:pc0<-4,3
+   The slicer's LIFO walk expands instance 3 and yields {0,1,2,3}; a
+   recursive DFS expands instance 1 and yields {0,1,2,4}.  Both obey the
+   Section 3.3 rule, so an order-free oracle must accept both. *)
+let probe_trace () =
+  let nop = { Program.op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; imm = 0; target = -1 } in
+  let dyn pc =
+    { Executor.pc; op = Isa.Nop; dst = -1; src1 = -1; src2 = -1; addr = -1;
+      taken = false; next_pc = 0 }
+  in
+  let trace =
+    { Executor.prog = { Program.name = "probe"; code = Array.make 5 nop; labels = [] };
+      dyns = Array.map dyn [| 4; 2; 3; 2; 1; 0 |];
+      halted = true }
+  in
+  let deps =
+    { Deps.prod1 = [| -1; 0; -1; 2; 1; 4 |];
+      prod2 = [| -1; -1; -1; -1; -1; 3 |];
+      prod_mem = Array.make 6 (-1) }
+  in
+  (trace, deps)
+
+(* [slice] with its witnesses replaced and every field derived from them
+   made consistent again, so only the witness checks can object.  Edges
+   follow register producers only: the probe trace has no memory
+   dependencies. *)
+let with_witnesses (trace : Executor.t) (deps : Deps.t) (slice : Slicer.t) witnesses =
+  let pc_of i = trace.Executor.dyns.(i).Executor.pc in
+  let pcs = Array.make (Array.length slice.Slicer.pcs) false in
+  pcs.(slice.Slicer.root_pc) <- true;
+  let edges = ref [] and nodes = ref 0 in
+  Array.iter
+    (Array.iter (fun i ->
+         incr nodes;
+         pcs.(pc_of i) <- true;
+         List.iter
+           (fun p -> if p >= 0 then edges := (pc_of p, pc_of i) :: !edges)
+           [ deps.Deps.prod1.(i); deps.Deps.prod2.(i) ]))
+    witnesses;
+  { slice with
+    Slicer.pcs;
+    pc_list = List.filter (fun pc -> pcs.(pc)) (List.init (Array.length pcs) Fun.id);
+    edges = List.sort_uniq compare !edges;
+    avg_dynamic_length = float_of_int !nodes /. float_of_int (Array.length witnesses);
+    witnesses }
+
+let reports needle vs =
+  let n = String.length needle in
+  List.exists
+    (fun (v : Slice_check.violation) ->
+      let r = v.Slice_check.reason in
+      let rec at i = i + n <= String.length r && (String.sub r i n = needle || at (i + 1)) in
+      at 0)
+    vs
+
+let test_slice_verifier_order_free () =
+  let trace, deps = probe_trace () in
+  let slice = Slicer.extract trace deps ~root_pc:0 in
+  check (Alcotest.list int) "LIFO walk members" [ 0; 1; 2; 3 ] slice.Slicer.pc_list;
+  let vs = Slice_check.verify_slice trace deps slice in
+  check int (Printf.sprintf "slicer output verifies (%s)" (violations_to_string vs)) 0
+    (List.length vs);
+  let dfs = with_witnesses trace deps slice [| [| 0; 1; 4; 5 |] |] in
+  check (Alcotest.list int) "DFS order members" [ 0; 1; 2; 4 ] dfs.Slicer.pc_list;
+  let vs = Slice_check.verify_slice trace deps dfs in
+  check int (Printf.sprintf "DFS-order slice verifies (%s)" (violations_to_string vs)) 0
+    (List.length vs)
+
+let test_slice_verifier_rejects_bad_witness () =
+  let trace, deps = probe_trace () in
+  let slice = Slicer.extract trace deps ~root_pc:0 in
+  let rejects label needle ?max_instances tampered =
+    let vs = Slice_check.verify_slice ?max_instances trace deps tampered in
+    check bool (Printf.sprintf "%s detected (%s)" label (violations_to_string vs)) true
+      (reports needle vs)
+  in
+  (* Node 3 (pc 2) is kept but its producer 2 (pc 3) is never expanded. *)
+  rejects "unexpanded producer" "unexpanded"
+    (with_witnesses trace deps slice [| [| 3; 4; 5 |] |]);
+  (* Both instances of pc 2 expanded in one walk. *)
+  rejects "duplicate pc" "more than once"
+    (with_witnesses trace deps slice [| [| 1; 2; 3; 4; 5 |] |]);
+  (* pc 2 has instances 1 and 3; with one sample the walk must start at
+     instance 1, not at the self-consistent walk from instance 3. *)
+  let one = Slicer.extract ~max_instances:1 trace deps ~root_pc:2 in
+  check bool "sampled the first instance" true (one.Slicer.witnesses = [| [| 0; 1 |] |]);
+  rejects ~max_instances:1 "shifted root" "sampled root"
+    (with_witnesses trace deps one [| [| 2; 3 |] |])
+
 (* Satellite property: Slicer.extract output always verifies, on random
    programs, with and without dependencies through memory. *)
 let random_trace seed =
@@ -453,21 +543,23 @@ let random_trace seed =
   Executor.run ~reg_init ~mem_init:mem ~max_instrs:6_000
     (assemble ~name:(Printf.sprintf "random%d" seed) code)
 
+(* Every load and branch pc of a trace: the roots slices are built for. *)
+let slice_roots (trace : Executor.t) =
+  let seen = Hashtbl.create 16 in
+  Array.iter
+    (fun (d : Executor.dyn) ->
+      match d.Executor.op with
+      | Isa.Load | Isa.Branch _ -> Hashtbl.replace seen d.Executor.pc ()
+      | _ -> ())
+    trace.Executor.dyns;
+  Hashtbl.fold (fun pc () acc -> pc :: acc) seen []
+
 let prop_extract_always_verifies =
   QCheck.Test.make ~name:"Slicer.extract output always passes the closure check"
     ~count:12 QCheck.small_int (fun seed ->
       let trace = random_trace seed in
       let deps = Deps.compute trace in
-      let root_pcs =
-        let seen = Hashtbl.create 16 in
-        Array.iter
-          (fun (d : Executor.dyn) ->
-            match d.Executor.op with
-            | Isa.Load | Isa.Branch _ -> Hashtbl.replace seen d.Executor.pc ()
-            | _ -> ())
-          trace.Executor.dyns;
-        Hashtbl.fold (fun pc () acc -> pc :: acc) seen []
-      in
+      let root_pcs = slice_roots trace in
       List.for_all
         (fun root_pc ->
           List.for_all
@@ -480,6 +572,61 @@ let prop_extract_always_verifies =
                   follow_memory (violations_to_string vs))
             [ true; false ])
         root_pcs)
+
+(* Order-free properties of the critical-path filter on the same random
+   programs, for every root, with and without memory dependencies.  Load
+   latencies vary per dynamic instance so instances weigh differently.
+   [holds slice kept] sees the kept maps for ascending [thetas]. *)
+let thetas = [ 0.; 0.3; 0.6; 0.9; 1. ]
+
+let critical_path_property name holds =
+  QCheck.Test.make ~name ~count:8 QCheck.small_int (fun seed ->
+      let trace = random_trace seed in
+      let deps = Deps.compute trace in
+      let latency_of i =
+        match trace.Executor.dyns.(i).Executor.op with
+        | Isa.Load -> 20 + (i * 37 mod 180)
+        | op -> Isa.exec_latency op
+      in
+      List.for_all
+        (fun root_pc ->
+          List.for_all
+            (fun follow_memory ->
+              let slice = Slicer.extract ~follow_memory trace deps ~root_pc in
+              let kept =
+                List.map
+                  (fun theta ->
+                    Critical_path.filter ~follow_memory ~theta trace deps ~root_pc
+                      ~latency_of)
+                  thetas
+              in
+              holds slice kept
+              || QCheck.Test.fail_reportf "root %d (follow_memory=%b)" root_pc
+                   follow_memory)
+            [ true; false ])
+        (slice_roots trace))
+
+let subset a b = Array.for_all2 (fun x y -> (not x) || y) a b
+
+let prop_critical_path_keeps_root =
+  critical_path_property "critical path always keeps the root" (fun slice kept ->
+      List.for_all (fun keep -> keep.(slice.Slicer.root_pc)) kept)
+
+let prop_critical_path_within_members =
+  critical_path_property "critical path keeps only slice members" (fun slice kept ->
+      List.for_all (fun keep -> subset keep slice.Slicer.pcs) kept)
+
+let prop_critical_path_theta_zero =
+  critical_path_property "theta 0 keeps exactly the members" (fun slice kept ->
+      List.hd kept = slice.Slicer.pcs)
+
+let prop_critical_path_monotone =
+  critical_path_property "kept set never grows as theta rises" (fun _ kept ->
+      let rec shrinking = function
+        | a :: (b :: _ as rest) -> subset b a && shrinking rest
+        | _ -> true
+      in
+      shrinking kept)
 
 (* ---------------- Tagging verifier ---------------- *)
 
@@ -632,7 +779,16 @@ let () =
         [ Alcotest.test_case "accepts clean slices" `Quick test_slice_verifier_accepts;
           Alcotest.test_case "rejects corruption" `Quick
             test_slice_verifier_rejects_corruption;
+          Alcotest.test_case "order-free: probe" `Quick test_slice_verifier_order_free;
+          Alcotest.test_case "rejects bad witnesses" `Quick
+            test_slice_verifier_rejects_bad_witness;
           QCheck_alcotest.to_alcotest prop_extract_always_verifies ] );
+      ( "critical_path",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_critical_path_keeps_root;
+            prop_critical_path_within_members;
+            prop_critical_path_theta_zero;
+            prop_critical_path_monotone ] );
       ( "tagging_verifier",
         [ Alcotest.test_case "accepts clean tagging" `Quick test_tagging_verifier_accepts;
           Alcotest.test_case "rejects corruption" `Quick

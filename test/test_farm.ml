@@ -939,6 +939,10 @@ let test_proxy_spec_parsing () =
     [ "warp"; "stall=x"; "down:drop#0"; "up:"; "delay=-1"; "truncate#" ]
 
 let with_proxy ~plan ~upstream f =
+  (* The daemon binds its socket on its own thread: wait until it
+     accepts, or the proxy's first upstream connect can race the bind and
+     the client sees an immediate EOF. *)
+  Farm_client.close (connect upstream);
   let dir = tmpdir () in
   let listen = Filename.concat dir "p" in
   let px = Chaos_proxy.start ~listen ~upstream ~plan in
