@@ -337,9 +337,7 @@ let with_jobs jobs f =
         Exec.Pool.shutdown pool)
   end
 
-let known_figures =
-  [ "table1"; "motivating"; "fig1"; "fig3"; "fig4"; "fig7"; "fig8"; "fig9";
-    "fig10"; "fig11"; "fig12"; "static_crit"; "ablations"; "division" ]
+let known_figures = List.map fst Experiments.figures
 
 let validate_figures figures =
   List.iter
@@ -351,24 +349,8 @@ let validate_figures figures =
       end)
     figures
 
-let run_figure ~sizes = function
-  | "table1" -> Experiments.table1 ()
-  | "motivating" -> ignore (Experiments.motivating ~sizes ())
-  | "fig1" -> ignore (Experiments.fig1 ~sizes ())
-  | "fig3" -> ignore (Experiments.fig3 ())
-  | "fig4" -> ignore (Experiments.fig4 ~sizes ())
-  | "fig7" -> ignore (Experiments.fig7 ~sizes ())
-  | "fig8" -> ignore (Experiments.fig8 ~sizes ())
-  | "fig9" -> ignore (Experiments.fig9 ~sizes ())
-  | "fig10" -> ignore (Experiments.fig10 ~sizes ())
-  | "fig11" -> ignore (Experiments.fig11 ~sizes ())
-  | "fig12" -> ignore (Experiments.fig12 ~sizes ())
-  | "static_crit" -> ignore (Experiments.static_crit ~sizes ())
-  | "ablations" -> ignore (Experiments.ablations ~sizes ())
-  | "division" -> ignore (Experiments.division ~sizes ())
-  | other ->
-    (* callers run [validate_figures] first *)
-    invalid_arg ("run_figure: " ^ other)
+(* Callers run [validate_figures] first. *)
+let run_figure ~sizes name = List.assoc name Experiments.figures sizes
 
 let policy_of ~deadline ~retries ~seed =
   { Resil.Supervise.default_policy with
@@ -457,6 +439,16 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
             ignore
               (Experiments.protected ~ident:fig (fun () -> run_figure ~sizes fig)))
           figures);
+  (* Memo and pool counters on stderr, so figure text on stdout stays
+     byte-identical across --jobs values. *)
+  let m = Runner.cache_stats () in
+  let ps = Exec.Pool.stats (Experiments.current_pool ()) in
+  Printf.eprintf
+    "farm: memo hits %d  misses %d  dedups %d  evictions %d  entries %d; \
+     pool workers %d  queued %d  running %d  stolen %d\n"
+    m.Exec.Memo.hits m.Exec.Memo.misses m.Exec.Memo.dedups m.Exec.Memo.evictions
+    m.Exec.Memo.entries ps.Exec.Pool.workers ps.Exec.Pool.queued
+    ps.Exec.Pool.running ps.Exec.Pool.stolen;
   finish_resilient_run ()
 
 (* ------------------------------------------------------------------ *)

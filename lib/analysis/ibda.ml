@@ -120,7 +120,10 @@ end
 let analyze ?(mem_params = Memory_system.skylake) cfg (trace : Executor.t) =
   let dyns = trace.Executor.dyns in
   let n = Array.length dyns in
-  let mem = Memory_system.create mem_params in
+  let warm =
+    Cpu_core.warm_create { Cpu_config.skylake with Cpu_config.mem = mem_params }
+  in
+  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
   let ist = Ist.create cfg in
   let dlt = Dlt.create cfg.dlt_entries in
   let critical = Bytes.make n '\000' in
@@ -133,13 +136,8 @@ let analyze ?(mem_params = Memory_system.skylake) cfg (trace : Executor.t) =
     let d = dyns.(i) in
     let pc = d.Executor.pc in
     (* Online DLT training from the cache hierarchy. *)
-    (match d.Executor.op with
-    | Isa.Load ->
-      (match Memory_system.load_functional mem ~addr:d.Executor.addr with
-      | Memory_system.Mem -> Dlt.record_miss dlt pc
-      | Memory_system.L1 | Memory_system.Llc -> ())
-    | Isa.Store -> ignore (Memory_system.load_functional mem ~addr:d.Executor.addr)
-    | _ -> ());
+    let seen = Cpu_core.warm_touch warm layout d in
+    if seen = Cpu_core.Touch_mem && d.Executor.op = Isa.Load then Dlt.record_miss dlt pc;
     let marked = Ist.mem ist pc || (d.Executor.op = Isa.Load && Dlt.mem dlt pc) in
     if marked then begin
       Bytes.set critical i '\001';

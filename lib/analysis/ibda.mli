@@ -13,6 +13,11 @@
     - there is no critical-path analysis, so whole slices are promoted,
     - there is no per-load miss-rate profile beyond the DLT counters.
 
+    The DLT trains on the machine's own caches: IBDA walks the evaluated
+    trace through [Cpu_core.warm_touch], the simulator's one functional
+    replay (on the untagged layout), and records a miss whenever a load's
+    touch reports [Touch_mem].  It keeps only its own tables.
+
     The output is a per-{e dynamic}-instruction criticality bitmap: a
     micro-op is tagged when, at the moment it is fetched, its pc is in the
     IST or in the DLT. *)
@@ -37,6 +42,8 @@ type result = {
 }
 
 val analyze : ?mem_params:Memory_system.params -> config -> Executor.t -> result
+(** Learn online over the whole trace; [mem_params] (default: the
+    Skylake hierarchy of Table 1) configures the replayed hierarchy. *)
 
 val is_critical : result -> int -> bool
 (** Criticality of dynamic instruction [i]. *)

@@ -50,12 +50,15 @@ let branch_entry branches pc =
 
 let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
   let dyns = trace.Executor.dyns in
-  let mem = Memory_system.create mem_params in
-  let tage = Tage.create () in
+  let prog = trace.Executor.prog in
+  let warm =
+    Cpu_core.warm_create { Cpu_config.skylake with Cpu_config.mem = mem_params }
+  in
+  let layout = Layout.compute ~critical:(fun _ -> false) prog in
   let loads = Hashtbl.create 64 in
   let branches = Hashtbl.create 64 in
   let long_ops = Hashtbl.create 16 in
-  let pc_execs = Array.make (Array.length trace.Executor.prog.Program.code) 0 in
+  let pc_execs = Array.make (Array.length prog.Program.code) 0 in
   let total_loads = ref 0 in
   let total_llc = ref 0 in
   let total_branches = ref 0 in
@@ -73,6 +76,7 @@ let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
   let recent_misses = Queue.create () in
   Array.iteri
     (fun i (d : Executor.dyn) ->
+      let seen = Cpu_core.warm_touch warm layout d in
       pc_execs.(d.Executor.pc) <- pc_execs.(d.Executor.pc) + 1;
       let in_depth =
         let d1 = if d.Executor.src1 >= 0 then reg_depth.(d.Executor.src1) else 0 in
@@ -95,12 +99,11 @@ let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
         in
         let depth = max in_depth stored_depth in
         let out_depth =
-          match Memory_system.load_functional mem ~addr:d.Executor.addr with
-          | Memory_system.L1 -> depth
-          | Memory_system.Llc ->
+          match seen with
+          | Cpu_core.Touch_llc ->
             e.l1_misses <- e.l1_misses + 1;
             depth
-          | Memory_system.Mem ->
+          | Cpu_core.Touch_mem ->
             e.l1_misses <- e.l1_misses + 1;
             e.llc_misses <- e.llc_misses + 1;
             incr total_llc;
@@ -116,19 +119,15 @@ let profile ?(mem_params = Memory_system.skylake) (trace : Executor.t) =
             in
             e.mlp_sum <- e.mlp_sum + same_depth;
             depth
+          | Cpu_core.Touch_l1 | Cpu_core.Touch_none | Cpu_core.Touch_mispredict -> depth
         in
         if d.Executor.dst >= 0 then reg_depth.(d.Executor.dst) <- out_depth
-      | Isa.Store ->
-        ignore (Memory_system.load_functional mem ~addr:d.Executor.addr);
-        Hashtbl.replace mem_depth d.Executor.addr in_depth
+      | Isa.Store -> Hashtbl.replace mem_depth d.Executor.addr in_depth
       | Isa.Branch _ ->
         incr total_branches;
         let e = branch_entry branches d.Executor.pc in
         e.b_execs <- e.b_execs + 1;
-        let predicted =
-          Tage.predict_and_update tage ~pc:d.Executor.pc ~taken:d.Executor.taken
-        in
-        if predicted <> d.Executor.taken then begin
+        if seen = Cpu_core.Touch_mispredict then begin
           e.b_mispredicts <- e.b_mispredicts + 1;
           incr total_mispredicts
         end

@@ -1,13 +1,18 @@
 (** Software profiling pass — the PMU / PEBS / LBR surrogate (paper Section
     3.2).
 
-    The profiler replays a trace through a functional copy of the memory
-    hierarchy (including the BOP and stream prefetchers, so loads the
-    hardware prefetcher already covers do not look delinquent) and through
-    the TAGE predictor.  It produces the per-load and per-branch statistics
-    the criticality heuristics consume: execution counts, LLC miss ratios,
-    address-delta regularity, memory-level parallelism around each load's
-    misses, and branch misprediction rates. *)
+    Like the paper's PMU, the profiler observes the machine the program
+    runs on: it is a loop over [Cpu_core.warm_touch], the simulator's one
+    functional replay of the caches, prefetchers and predictors, walked on
+    the untagged layout.  The replay includes the BOP and stream
+    prefetchers (so loads the hardware prefetcher already covers do not
+    look delinquent), instruction fetches sharing the LLC, write-allocate
+    stores and TAGE.  The profiler keeps only its own state — per-pc
+    counters and the MLP estimate — and produces the per-load and
+    per-branch statistics the criticality heuristics consume: execution
+    counts, LLC miss ratios, address-delta regularity, memory-level
+    parallelism around each load's misses, and branch misprediction
+    rates. *)
 
 type load_stats = {
   mutable execs : int;
@@ -40,7 +45,8 @@ type report = {
 }
 
 val profile : ?mem_params:Memory_system.params -> Executor.t -> report
-(** Replay the trace; defaults to the Skylake hierarchy of Table 1. *)
+(** Replay the trace through a fresh warm state; [mem_params] defaults to
+    the Skylake hierarchy of Table 1. *)
 
 val miss_ratio : load_stats -> float
 (** LLC misses / executions. *)

@@ -486,19 +486,21 @@ let protected ~ident f =
     Printf.printf "\n== %s: DEGRADED (%s) ==\n" ident (Printexc.to_string exn);
     None
 
+let figures =
+  [ ("table1", fun _ -> table1 ());
+    ("motivating", fun sizes -> ignore (motivating ~sizes ()));
+    ("fig1", fun sizes -> ignore (fig1 ~sizes ()));
+    ("fig3", fun _ -> ignore (fig3 ()));
+    ("fig4", fun sizes -> ignore (fig4 ~sizes ()));
+    ("fig7", fun sizes -> ignore (fig7 ~sizes ()));
+    ("fig8", fun sizes -> ignore (fig8 ~sizes ()));
+    ("fig9", fun sizes -> ignore (fig9 ~sizes ()));
+    ("fig10", fun sizes -> ignore (fig10 ~sizes ()));
+    ("fig11", fun sizes -> ignore (fig11 ~sizes ()));
+    ("fig12", fun sizes -> ignore (fig12 ~sizes ()));
+    ("static_crit", fun sizes -> ignore (static_crit ~sizes ()));
+    ("ablations", fun sizes -> ignore (ablations ~sizes ()));
+    ("division", fun sizes -> ignore (division ~sizes ())) ]
+
 let run_all ?(sizes = default_sizes) () =
-  let step ident f = ignore (protected ~ident f) in
-  step "table1" (fun () -> table1 ());
-  step "motivating" (fun () -> ignore (motivating ~sizes ()));
-  step "fig1" (fun () -> ignore (fig1 ~sizes ()));
-  step "fig3" (fun () -> ignore (fig3 ()));
-  step "fig4" (fun () -> ignore (fig4 ~sizes ()));
-  step "fig7" (fun () -> ignore (fig7 ~sizes ()));
-  step "fig8" (fun () -> ignore (fig8 ~sizes ()));
-  step "fig9" (fun () -> ignore (fig9 ~sizes ()));
-  step "fig10" (fun () -> ignore (fig10 ~sizes ()));
-  step "fig11" (fun () -> ignore (fig11 ~sizes ()));
-  step "fig12" (fun () -> ignore (fig12 ~sizes ()));
-  step "static_crit" (fun () -> ignore (static_crit ~sizes ()));
-  step "ablations" (fun () -> ignore (ablations ~sizes ()));
-  step "division" (fun () -> ignore (division ~sizes ()))
+  List.iter (fun (ident, f) -> ignore (protected ~ident (fun () -> f sizes))) figures

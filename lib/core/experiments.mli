@@ -132,6 +132,10 @@ val division : ?sizes:sizes -> unit -> float * float
 (** The Section 6.1 extension: prioritise long-latency division and its
     slices on a division-chained kernel.  Returns (OOO IPC, CRISP IPC). *)
 
+val figures : (string * (sizes -> unit)) list
+(** Every table and figure by name, in paper order, plus the Section 6.1
+    division extension: the one registry the command-line front end
+    resolves figure names against. *)
+
 val run_all : ?sizes:sizes -> unit -> unit
-(** Regenerate every table and figure in order, plus the Section 6.1
-    division extension. *)
+(** Run every entry of {!figures} in order under {!protected}. *)

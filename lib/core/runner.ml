@@ -72,32 +72,41 @@ let cache_key ~cfg ~eval_instrs ~train_instrs ~name variant =
           shared across domains"
          name)
 
-let run_variant ?tracer ~cfg ~eval_instrs ~train_instrs ~name variant =
+(* The per-variant set-up shared by full and sampled cells: the policy,
+   the evaluated trace, the criticality source and the FDO artifacts.
+   The CRISP variants profile on the Train input at full fidelity even
+   for a sampled cell (it is the paper's offline software pass); IBDA is
+   hardware, so it learns online while the evaluated input runs. *)
+let setup ~cfg ~eval_instrs ~train_instrs ~name variant =
   let eval_workload = Catalog.make ~input:Workload.Ref ~instrs:eval_instrs name in
   let eval_trace = Workload.trace eval_workload in
   match variant with
   | Ooo ->
-    let cfg = Cpu_config.with_policy Scheduler.Oldest_ready cfg in
-    { stats = Cpu_core.run ?tracer cfg eval_trace; artifacts = None }
+    ( Cpu_config.with_policy Scheduler.Oldest_ready cfg,
+      eval_trace,
+      Cpu_core.No_tags,
+      None )
   | Crisp (thresholds, options) ->
     let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
     let artifacts =
       Fdo.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_workload
     in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let stats =
-      Cpu_core.run ~criticality:(Fdo.criticality artifacts) ?tracer cfg eval_trace
-    in
-    { stats; artifacts = Some artifacts }
+    ( Cpu_config.with_policy Scheduler.Crisp cfg,
+      eval_trace,
+      Fdo.criticality artifacts,
+      Some artifacts )
   | Ibda ibda_cfg ->
-    (* IBDA is hardware: it learns online while the evaluated input runs. *)
     let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval_trace in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let stats =
-      Cpu_core.run ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
-        ?tracer cfg eval_trace
-    in
-    { stats; artifacts = None }
+    ( Cpu_config.with_policy Scheduler.Crisp cfg,
+      eval_trace,
+      Cpu_core.Dynamic_tags (Ibda.is_critical result),
+      None )
+
+let run_variant ?tracer ~cfg ~eval_instrs ~train_instrs ~name variant =
+  let cfg, trace, criticality, artifacts =
+    setup ~cfg ~eval_instrs ~train_instrs ~name variant
+  in
+  { stats = Cpu_core.run ~criticality ?tracer cfg trace; artifacts }
 
 let memoised ~cache ~key ~ident compute =
   let rec attempt budget =
@@ -158,34 +167,10 @@ let sampled_cache_key ~cfg ~eval_instrs ~train_instrs ~sample ~name variant =
          name)
 
 let run_variant_sampled ~cfg ~eval_instrs ~train_instrs ~sample ~name variant =
-  let eval_workload = Catalog.make ~input:Workload.Ref ~instrs:eval_instrs name in
-  let eval_trace = Workload.trace eval_workload in
-  match variant with
-  | Ooo ->
-    let cfg = Cpu_config.with_policy Scheduler.Oldest_ready cfg in
-    { sampled_result = Sampler.run ~sample cfg eval_trace; sampled_artifacts = None }
-  | Crisp (thresholds, options) ->
-    (* Profiling/FDO stays full-fidelity — it is the paper's offline
-       software pass, cheap relative to timing simulation; only the
-       timing run is sampled. *)
-    let train_workload = Catalog.make ~input:Workload.Train ~instrs:train_instrs name in
-    let artifacts =
-      Fdo.analyze ~thresholds ~options ~mem_params:cfg.Cpu_config.mem train_workload
-    in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let sampled_result =
-      Sampler.run ~criticality:(Fdo.criticality artifacts) ~sample cfg eval_trace
-    in
-    { sampled_result; sampled_artifacts = Some artifacts }
-  | Ibda ibda_cfg ->
-    let result = Ibda.analyze ~mem_params:cfg.Cpu_config.mem ibda_cfg eval_trace in
-    let cfg = Cpu_config.with_policy Scheduler.Crisp cfg in
-    let sampled_result =
-      Sampler.run
-        ~criticality:(Cpu_core.Dynamic_tags (Ibda.is_critical result))
-        ~sample cfg eval_trace
-    in
-    { sampled_result; sampled_artifacts = None }
+  let cfg, trace, criticality, sampled_artifacts =
+    setup ~cfg ~eval_instrs ~train_instrs ~name variant
+  in
+  { sampled_result = Sampler.run ~criticality ~sample cfg trace; sampled_artifacts }
 
 let evaluate_sampled ?(cfg = Cpu_config.skylake) ?(eval_instrs = 200_000)
     ?(train_instrs = 150_000) ~sample ~name variant =

@@ -498,7 +498,9 @@ let rec count_rs_resident s i acc =
    fast-forward starts from warmed state instead of cold tables. *)
 type warm = {
   wmem : Memory_system.t;
-  wbranch : Branch_warm.t;
+  wtage : Tage.t;
+  wbtb : Btb.t;
+  wras : Ras.t;
   mutable wpos : int;  (* next dyn index to warm *)
   mutable wline : int;  (* current icache line, -1 = none *)
 }
@@ -526,8 +528,7 @@ let make_state ?(criticality = No_tags) ?layout ?tracer ?warm ~start cfg
   let fq_cap = max 32 (cfg.Cpu_config.fetch_width * (cfg.Cpu_config.frontend_depth + 3)) in
   let mem, tage, btb, ras =
     match warm with
-    | Some w -> (w.wmem, w.wbranch.Branch_warm.tage, w.wbranch.Branch_warm.btb,
-                 w.wbranch.Branch_warm.ras)
+    | Some w -> (w.wmem, w.wtage, w.wbtb, w.wras)
     | None ->
       ( Memory_system.create cfg.Cpu_config.mem,
         Tage.create (),
@@ -668,91 +669,76 @@ let rec count_ops dyns lo hi loads stores =
     | Isa.Store -> count_ops dyns (lo + 1) hi loads (stores + 1)
     | _ -> count_ops dyns (lo + 1) hi loads stores
 
-let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
-  let dyns = trace.Executor.dyns in
-  let n = Array.length dyns in
-  let s = make_state ?criticality ?layout ?tracer ~start:0 cfg trace in
-  let max_cycles =
-    match cfg.Cpu_config.max_cycles with
-    | Some m -> m
-    | None -> (400 * n) + 100_000
-  in
-  run_cycles s ~target:n ~max_cycles;
-  let loads, stores = count_ops dyns 0 n 0 0 in
-  { Cpu_stats.cycles = s.cycle;
-    retired = s.retired;
-    loads;
-    stores;
-    branches = s.branches;
-    branch_mispredicts = s.branch_mispredicts;
-    btb_misses = s.btb_misses;
-    ras_mispredicts = s.ras_mispredicts;
-    head_stalls =
-      { Cpu_stats.dram_load = s.stall_dram;
-        llc_load = s.stall_llc;
-        other_load = s.stall_other_load;
-        long_op = s.stall_long_op;
-        other = s.stall_other };
-    (* Each per-cycle observation is an integer, so the int sum converts
-       exactly: bit-identical to the old float accumulation. *)
-    mlp_sum = float_of_int s.mlp_sum_units;
-    mlp_cycles = s.mlp_cycles;
-    critical_retired = s.critical_retired;
-    mem = Memory_system.stats s.mem;
-    upc_timeline = Option.map Vec.to_array s.upc_timeline }
-
 (* ------------------------------------------------------------------ *)
 (* Warming (functional fast-forward) and windowed detail simulation.   *)
 (* ------------------------------------------------------------------ *)
 
 let warm_create cfg =
   { wmem = Memory_system.create cfg.Cpu_config.mem;
-    wbranch =
-      Branch_warm.create ~btb_entries:cfg.Cpu_config.btb_entries
-        ~ras_depth:cfg.Cpu_config.ras_depth;
+    wtage = Tage.create ();
+    wbtb = Btb.create ~entries:cfg.Cpu_config.btb_entries ();
+    wras = Ras.create ~depth:cfg.Cpu_config.ras_depth ();
     wpos = 0;
     wline = -1 }
 
 let warm_pos w = w.wpos
 
+type touch =
+  | Touch_none
+  | Touch_l1
+  | Touch_llc
+  | Touch_mem
+  | Touch_mispredict
+
+(* The functional replay: exactly the cache, prefetcher and predictor
+   updates the detail pipeline would make for [d], with no timing. *)
 let warm_touch w layout (d : Executor.dyn) =
   (* Mirror the detail fetch stage's icache behaviour: one fetch per
      distinct consecutive line, not one per micro-op. *)
   let addr = Layout.addr_of layout d.Executor.pc in
   let line = addr / line_bytes in
   if line <> w.wline then begin
-    Memory_system.warm_fetch w.wmem ~addr;
+    ignore (Memory_system.fetch_functional w.wmem ~addr);
     w.wline <- line
   end;
-  Branch_warm.touch w.wbranch d;
-  (match d.Executor.op with
-  | Isa.Load | Isa.Prefetch -> Memory_system.warm_load w.wmem ~addr:d.Executor.addr
-  | Isa.Store -> Memory_system.warm_store w.wmem ~addr:d.Executor.addr
-  | _ -> ());
-  w.wpos <- w.wpos + 1
+  w.wpos <- w.wpos + 1;
+  match d.Executor.op with
+  | Isa.Load | Isa.Prefetch -> (
+    match Memory_system.load_functional w.wmem ~addr:d.Executor.addr with
+    | Memory_system.L1 -> Touch_l1
+    | Memory_system.Llc -> Touch_llc
+    | Memory_system.Mem -> Touch_mem)
+  | Isa.Store ->
+    Memory_system.warm_store w.wmem ~addr:d.Executor.addr;
+    Touch_none
+  | Isa.Branch _ ->
+    let taken = d.Executor.taken in
+    let predicted = Tage.predict_and_update w.wtage ~pc:d.Executor.pc ~taken in
+    (* The detail fetch stage installs the target only on a correctly
+       predicted taken branch (a mispredict redirects before the BTB is
+       consulted); warming mirrors that. *)
+    if predicted && taken then
+      Btb.update w.wbtb ~pc:d.Executor.pc ~target:d.Executor.next_pc;
+    if predicted <> taken then Touch_mispredict else Touch_none
+  | Isa.Call ->
+    Ras.push w.wras (d.Executor.pc + 1);
+    Touch_none
+  | Isa.Ret ->
+    ignore (Ras.pop_value w.wras);
+    Touch_none
+  | _ -> Touch_none
 
-let warm_checkpoint_magic = "crisp-warm1:"
+(* One blob, one magic: the warm record is plain data once no tracer is
+   attached, and [run_window] detaches its tracer before returning. *)
+let warm_checkpoint_magic = "crisp-warm2:"
 
-let warm_checkpoint w =
-  warm_checkpoint_magic
-  ^ Marshal.to_string
-      ( w.wpos,
-        w.wline,
-        Memory_system.checkpoint w.wmem,
-        Branch_warm.checkpoint w.wbranch )
-      []
+let warm_checkpoint w = warm_checkpoint_magic ^ Marshal.to_string w []
 
 let warm_restore blob =
   let n = String.length warm_checkpoint_magic in
   if String.length blob < n || String.sub blob 0 n <> warm_checkpoint_magic then
     invalid_arg "Cpu_core.warm_restore: not a warm-state checkpoint";
-  let wpos, wline, mem_blob, branch_blob =
-    (Marshal.from_string blob n : int * int * string * string)
-  in
-  { wmem = Memory_system.restore mem_blob;
-    wbranch = Branch_warm.restore branch_blob;
-    wpos;
-    wline }
+  (Marshal.from_string blob n : warm)
 
 (* Cumulative counter snapshot, for expressing a window as a delta. *)
 type counters = {
@@ -788,7 +774,7 @@ let snap_counters s =
     c_critical_retired = s.critical_retired;
     c_mem = Memory_system.stats s.mem }
 
-let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
+let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
     (trace : Executor.t) =
   let dyns = trace.Executor.dyns in
   let n = Array.length dyns in
@@ -801,7 +787,7 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
     let t = warmup + measure in
     if t < avail && t >= 0 (* t < 0 on overflow *) then t else avail
   in
-  let s = make_state ?criticality ?layout ?warm ~start cfg trace in
+  let s = make_state ?criticality ?layout ?tracer ?warm ~start cfg trace in
   (* The window's cycle counter starts at zero; state adopted from a warm
      carrier (or a restored checkpoint) may hold stamps from a previous
      window's time base, which must not read as in-flight work here. *)
@@ -823,7 +809,8 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
   (match warm with
   | Some w ->
     w.wpos <- start + s.retired;
-    w.wline <- -1
+    w.wline <- -1;
+    Memory_system.set_tracer w.wmem None
   | None -> ());
   let measured = s.retired - warmed in
   let loads, stores = count_ops dyns (start + warmed) (start + s.retired) 0 0 in
@@ -846,3 +833,8 @@ let run_window ?criticality ?layout ?warm ~start ~warmup ~measure cfg
     critical_retired = s.critical_retired - before.c_critical_retired;
     mem = Memory_system.diff_stats ~after:(Memory_system.stats s.mem) ~before:before.c_mem;
     upc_timeline = Option.map Vec.to_array s.upc_timeline }
+
+let run ?criticality ?layout ?tracer cfg (trace : Executor.t) =
+  let n = Array.length trace.Executor.dyns in
+  run_window ?criticality ?layout ?tracer ~start:0 ~warmup:0 ~measure:(max 1 n) cfg
+    trace

@@ -27,7 +27,8 @@ type criticality =
 val run :
   ?criticality:criticality -> ?layout:Layout.t -> ?tracer:Obs_tracer.t ->
   Cpu_config.t -> Executor.t -> Cpu_stats.t
-(** Simulate the whole trace and return aggregate statistics.  [layout]
+(** Simulate the whole trace and return aggregate statistics: one
+    {!run_window} from a cold start over every instruction.  [layout]
     defaults to the byte layout induced by the criticality tags (critical
     instructions carry a one-byte prefix, which grows the fetch footprint —
     Section 5.7).
@@ -42,18 +43,19 @@ val run :
     configured cycle budget (indicates a model bug, not a workload
     property). *)
 
-(** {1 Sampled and time-parallel simulation}
+(** {1 Functional replay and windowed simulation}
 
-    Primitives for the SMARTS-style sampling engines in [lib/sample]:
-    functional fast-forward carries microarchitectural state between
-    detail windows, and checkpoints let one long trace be split into
-    chunks simulated concurrently. *)
+    The warm mode is the simulator's only functional cache/predictor
+    replay.  The software profiler and IBDA walk a trace through it, and
+    the SMARTS-style sampling engines in [lib/sample] use it to carry
+    microarchitectural state between detail windows; checkpoints let one
+    long trace be split into chunks simulated concurrently. *)
 
 type warm
-(** Microarchitectural state carried through functional fast-forward: a
-    memory hierarchy in warming mode plus the TAGE/BTB/RAS predictors,
-    and the trace position they have been warmed up to.  Not
-    thread-safe; each concurrent chunk restores its own copy. *)
+(** Microarchitectural state carried through functional fast-forward: the
+    memory hierarchy and the TAGE/BTB/RAS predictors, and the trace
+    position they have been warmed up to.  Not thread-safe; each
+    concurrent chunk restores its own copy. *)
 
 val warm_create : Cpu_config.t -> warm
 
@@ -61,24 +63,41 @@ val warm_pos : warm -> int
 (** The next dynamic instruction index to be warmed (advanced by both
     {!warm_touch} and {!run_window}). *)
 
-val warm_touch : warm -> Layout.t -> Executor.dyn -> unit
-(** Fast-forward over one dynamic micro-op: touch the instruction cache
-    for its fetch line, replay it into the branch predictors, and warm
-    the data hierarchy for its memory access — with no timing model.
-    Must be called in trace order. *)
+(** What one {!warm_touch} saw.  Constant constructors only, so a
+    fast-forward loop over touches allocates nothing. *)
+type touch =
+  | Touch_none  (** neither a load nor a mispredicted conditional branch *)
+  | Touch_l1  (** a load or software prefetch served by the L1D *)
+  | Touch_llc  (** ... served by the LLC *)
+  | Touch_mem  (** ... served by main memory (an LLC miss) *)
+  | Touch_mispredict  (** a conditional branch TAGE mispredicted *)
+
+val warm_touch : warm -> Layout.t -> Executor.dyn -> touch
+(** The one functional replay of the simulator.  Fast-forward over one
+    dynamic micro-op with no timing model: touch the instruction cache
+    once per new fetch line, replay the micro-op into the branch
+    predictors (TAGE predict-and-update on a conditional branch, BTB
+    install on a correctly predicted taken one, RAS push on [Call] and pop
+    on [Ret]), read the data hierarchy for a load or software prefetch
+    (training the prefetchers), and write-allocate a store.  Must be
+    called in trace order.
+
+    The sampler's fast-forward ignores the result; [Profiler] and [Ibda]
+    are loops over it that keep only their own counters and tables. *)
 
 val warm_checkpoint : warm -> string
-(** Serialise the warm state as an opaque blob.  Restoring yields an
-    independent deep copy, so one checkpoint can seed several concurrent
-    chunk simulations. *)
+(** Serialise the warm state as one opaque [crisp-warm2:] blob.
+    Restoring yields an independent deep copy, so one checkpoint can seed
+    several concurrent chunk simulations. *)
 
 val warm_restore : string -> warm
-(** @raise Invalid_argument if the blob is not a warm-state
-    checkpoint. *)
+(** @raise Invalid_argument if the blob is not a warm-state checkpoint
+    of the current layout (a [crisp-warm1:] blob is rejected too). *)
 
 val run_window :
   ?criticality:criticality ->
   ?layout:Layout.t ->
+  ?tracer:Obs_tracer.t ->
   ?warm:warm ->
   start:int ->
   warmup:int ->
@@ -101,6 +120,8 @@ val run_window :
     [warm_pos] past the instructions it retired; without it the window
     starts cold.  [loads]/[stores] count the measured dynamic range, and
     [mem] is the delta of hierarchy counters over the measured window.
+    [tracer] is as for {!run}; it is detached from the warm hierarchy
+    when the window ends.
 
     @raise Invalid_argument if [start] is out of range, [warmup < 0] or
     [measure <= 0]. *)

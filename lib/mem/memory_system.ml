@@ -285,22 +285,10 @@ let fetch_functional t ~addr =
     | `Hit | `Hit_prefetched -> Llc
     | `Miss -> Mem)
 
-(* ------------------------------------------------------------------ *)
-(* Warming touch mode: the fast-forward path of sampled simulation.
-   Each touch updates cache contents, replacement state and prefetcher
-   training exactly like the functional interface — and nothing else: no
-   MSHR occupancy, no DRAM timing, no tracer events.  Prefetch fills
-   issued during warming charge [Dram.request] at cycle 0, which only
-   perturbs stamps that [quiesce] clears before the next detail window. *)
-
-let warm_load t ~addr = ignore (load_functional t ~addr)
-
 let warm_store t ~addr =
   (* Write-allocate, as at retirement; no tracer, no timing. *)
   if not (Cache.probe t.l1d ~addr) then ignore (Cache.access_info t.llc ~addr);
   ignore (Cache.access_info t.l1d ~addr)
-
-let warm_fetch t ~addr = ignore (fetch_functional t ~addr)
 
 (* Absolute-cycle state: MSHR ready stamps (a slot is live iff its ready
    cycle is in the future) and the DRAM bank/bus stamps.  Everything else
@@ -311,20 +299,6 @@ let quiesce t =
   Array.fill t.i_line 0 (Array.length t.i_line) (-1);
   Array.fill t.i_ready 0 (Array.length t.i_ready) 0;
   Dram.quiesce t.dram
-
-let checkpoint_magic = "crisp-msys1:"
-
-let checkpoint t =
-  (* The tracer is the one non-data field; a checkpoint never carries
-     it.  Every other component is plain mutable records and arrays, so
-     the structural marshal is a faithful deep snapshot. *)
-  checkpoint_magic ^ Marshal.to_string { t with tracer = None } []
-
-let restore blob =
-  let n = String.length checkpoint_magic in
-  if String.length blob < n || String.sub blob 0 n <> checkpoint_magic then
-    invalid_arg "Memory_system.restore: not a memory-system checkpoint";
-  (Marshal.from_string blob n : t)
 
 type stats = {
   l1d_hits : int;

@@ -5,10 +5,13 @@
     Two usage modes share one state type:
     - {e timing} ([load], [fetch], [store_commit]) returns completion
       cycles, models MSHR capacity, miss merging and DRAM contention — used
-      by the cycle-level core;
-    - {e functional} ([load_functional], [fetch_functional]) updates cache
-      and prefetcher state without time — used by the software profiler,
-      which plays the role of the paper's PMU/PEBS measurements. *)
+      by the cycle-level core's detail pipeline;
+    - {e functional} ([load_functional], [fetch_functional],
+      [warm_store]) updates cache and prefetcher state without time.  Its
+      one caller is [Cpu_core.warm_touch], the simulator's single
+      functional replay, which the software profiler (the paper's
+      PMU/PEBS surrogate), IBDA and the sampler's fast-forward all run
+      on. *)
 
 type params = {
   l1i : Cache.params;
@@ -38,8 +41,9 @@ val set_tracer : t -> Obs_tracer.t option -> unit
     the timing interface emits [l1d_miss]/[l1i_miss]/[prefetch] events at
     exactly the points where the corresponding {!stats} counters
     increment; the tracer is a write-only sink, so timing and statistics
-    are unaffected.  The functional interface never emits (the profiler
-    replays accesses out of pipeline time). *)
+    are unaffected.  The functional replay runs out of pipeline time, so
+    it runs with no tracer attached: [Cpu_core.run_window] detaches its
+    tracer from a warm hierarchy when the window ends. *)
 
 (** Which level served an access. *)
 type level =
@@ -91,22 +95,23 @@ val probe_inst : t -> addr:int -> bool
 val outstanding_misses : t -> cycle:int -> int
 (** Demand misses currently in flight (an MLP observation point). *)
 
-(** {1 Functional interface} *)
+(** {1 Functional interface}
+
+    Each access updates cache contents, replacement state and prefetcher
+    training exactly as the timing interface would, and nothing else: no
+    MSHR occupancy, no DRAM contention, no tracer events.  Prefetch fills
+    charge [Dram.request] at cycle 0, which only perturbs stamps that
+    {!quiesce} clears before the next detail window. *)
 
 val load_functional : t -> addr:int -> level
+(** A demand load; returns the level that served it. *)
+
 val fetch_functional : t -> addr:int -> level
+(** An instruction fetch through the L1I and LLC. *)
 
-(** {1 Warming interface}
-
-    The fast-forward touch mode of sampled simulation: each touch updates
-    cache contents, replacement state and prefetcher training exactly as
-    the functional interface would — and nothing else.  No MSHR
-    occupancy, no DRAM contention, no tracer events, no return value: the
-    caller is skipping time, not modelling it. *)
-
-val warm_load : t -> addr:int -> unit
 val warm_store : t -> addr:int -> unit
-val warm_fetch : t -> addr:int -> unit
+(** A retirement-time store: write-allocate into the L1D, as
+    {!store_commit} does. *)
 
 val quiesce : t -> unit
 (** Clear every absolute-cycle stamp: demand and instruction MSHR files
@@ -115,20 +120,6 @@ val quiesce : t -> unit
     untouched.  A detail window whose cycle counter restarts at zero must
     quiesce first, or stamps from the previous window's time base read as
     in-flight misses and queueing delay. *)
-
-(** {1 Checkpointing} *)
-
-val checkpoint : t -> string
-(** Serialise the complete hierarchy state — caches, prefetchers, DRAM,
-    MSHR files, statistics — as an opaque blob (the tracer attachment is
-    not captured).  The blob is self-contained: restoring it yields an
-    independent deep copy, so one captured state can seed several
-    concurrent chunk simulations. *)
-
-val restore : string -> t
-(** Rebuild a hierarchy from a {!checkpoint} blob (no tracer attached).
-    @raise Invalid_argument if the blob is not a memory-system
-    checkpoint. *)
 
 (** {1 Statistics} *)
 

@@ -63,7 +63,7 @@ let run ?criticality ?layout ?(pool = Exec.Pool.sequential) ?journal ~chunks ~wa
           w
       in
       while Cpu_core.warm_pos w < starts.(k) do
-        Cpu_core.warm_touch w layout dyns.(Cpu_core.warm_pos w)
+        ignore (Cpu_core.warm_touch w layout dyns.(Cpu_core.warm_pos w))
       done;
       let blob = Cpu_core.warm_checkpoint w in
       journal_record key blob;

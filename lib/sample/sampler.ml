@@ -44,7 +44,7 @@ let run_units ?criticality ~layout ~(sample : Sample_config.t) ~units cfg
     let boundary = k * stride in
     let m = max (boundary - sample.warmup_len) (Cpu_core.warm_pos warm) in
     while Cpu_core.warm_pos warm < m do
-      Cpu_core.warm_touch warm layout dyns.(Cpu_core.warm_pos warm)
+      ignore (Cpu_core.warm_touch warm layout dyns.(Cpu_core.warm_pos warm))
     done;
     let st =
       Cpu_core.run_window ?criticality ~layout ~warm ~start:m ~warmup:(boundary - m)

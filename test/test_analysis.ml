@@ -262,6 +262,32 @@ let prop_tagged_pcs_exist =
       Array.length tagging.Tagger.critical
       = Array.length trace.Executor.prog.Program.code)
 
+(* The profiler is a loop over the core's warm mode: its per-load LLC
+   misses are exactly the [Touch_mem] outcomes of stepping that replay by
+   hand on the untagged layout. *)
+let test_profiler_is_the_warm_replay () =
+  let w = Catalog.make ~input:Workload.Train ~instrs:80_000 "xhpcg" in
+  let trace = Workload.trace w in
+  let report = Profiler.profile trace in
+  let warm = Cpu_core.warm_create Cpu_config.skylake in
+  let layout = Layout.compute ~critical:(fun _ -> false) trace.Executor.prog in
+  let mem_outcomes = Hashtbl.create 64 in
+  Array.iter
+    (fun (d : Executor.dyn) ->
+      let seen = Cpu_core.warm_touch warm layout d in
+      if seen = Cpu_core.Touch_mem && d.Executor.op = Isa.Load then
+        Hashtbl.replace mem_outcomes d.Executor.pc
+          (1 + Option.value ~default:0 (Hashtbl.find_opt mem_outcomes d.Executor.pc)))
+    trace.Executor.dyns;
+  check bool "xhpcg misses the LLC" true (Hashtbl.length mem_outcomes > 0);
+  Hashtbl.iter
+    (fun pc (e : Profiler.load_stats) ->
+      check int
+        (Printf.sprintf "pc %d LLC misses" pc)
+        (Option.value ~default:0 (Hashtbl.find_opt mem_outcomes pc))
+        e.Profiler.llc_misses)
+    report.Profiler.loads
+
 (* ---------------- IBDA ---------------- *)
 
 let test_ibda_marks_chain () =
@@ -337,7 +363,9 @@ let () =
         [ Alcotest.test_case "per-pc counters" `Quick test_profiler_counts;
           Alcotest.test_case "dependence-aware MLP" `Quick
             test_profiler_mlp_serial_vs_parallel;
-          Alcotest.test_case "branch profiling" `Quick test_branch_profiling ] );
+          Alcotest.test_case "branch profiling" `Quick test_branch_profiling;
+          Alcotest.test_case "LLC misses = warm-replay Mem outcomes (xhpcg)" `Quick
+            test_profiler_is_the_warm_replay ] );
       ( "classifier",
         [ Alcotest.test_case "finds delinquent loads" `Quick
             test_classifier_finds_delinquents;

@@ -628,6 +628,51 @@ let prop_critical_path_monotone =
       in
       shrinking kept)
 
+(* The profiler's per-pc counters must add up to its totals on the same
+   random programs: every miss, mispredict and execution is attributed to
+   exactly one pc, and an LLC miss is always an L1 miss first.  The
+   programs' 4 KiB data image fits the Skylake L1D, so a tiny hierarchy
+   is profiled too, where loads are served from all three levels. *)
+let tiny_hierarchy =
+  let cache size_bytes assoc = { Cache.size_bytes; assoc; line_bytes = 64 } in
+  { Memory_system.skylake with
+    Memory_system.l1i = cache 512 2;
+    l1d = cache 512 2;
+    llc = cache 2048 4 }
+
+let prop_profiler_totals_conserve =
+  QCheck.Test.make ~name:"profiler per-pc counters sum to the totals" ~count:12
+    QCheck.small_int (fun seed ->
+      let trace = random_trace seed in
+      List.for_all
+        (fun mem_params ->
+          let r = Profiler.profile ~mem_params trace in
+          let sum_loads f = Hashtbl.fold (fun _ e acc -> acc + f e) r.Profiler.loads 0 in
+          let sum_branches f =
+            Hashtbl.fold (fun _ e acc -> acc + f e) r.Profiler.branch_table 0
+          in
+          let agree what got want =
+            got = want
+            || QCheck.Test.fail_reportf "%s: per-pc sum %d, total %d" what got want
+          in
+          agree "llc misses" (sum_loads (fun e -> e.Profiler.llc_misses))
+            r.Profiler.total_llc_misses
+          && agree "loads" (sum_loads (fun e -> e.Profiler.execs)) r.Profiler.total_loads
+          && agree "mispredicts" (sum_branches (fun e -> e.Profiler.b_mispredicts))
+               r.Profiler.total_mispredicts
+          && agree "branches" (sum_branches (fun e -> e.Profiler.b_execs))
+               r.Profiler.total_branches
+          && agree "instructions" (Array.fold_left ( + ) 0 r.Profiler.pc_execs)
+               r.Profiler.total_instrs
+          && Hashtbl.fold
+               (fun pc e ok ->
+                 ok
+                 && (e.Profiler.l1_misses >= e.Profiler.llc_misses
+                    || QCheck.Test.fail_reportf "pc %d: %d L1 misses < %d LLC misses"
+                         pc e.Profiler.l1_misses e.Profiler.llc_misses))
+               r.Profiler.loads true)
+        [ Memory_system.skylake; tiny_hierarchy ])
+
 (* ---------------- Tagging verifier ---------------- *)
 
 let analysis_artifacts () =
@@ -789,6 +834,8 @@ let () =
             prop_critical_path_within_members;
             prop_critical_path_theta_zero;
             prop_critical_path_monotone ] );
+      ( "profiler",
+        [ QCheck_alcotest.to_alcotest prop_profiler_totals_conserve ] );
       ( "tagging_verifier",
         [ Alcotest.test_case "accepts clean tagging" `Quick test_tagging_verifier_accepts;
           Alcotest.test_case "rejects corruption" `Quick

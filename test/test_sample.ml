@@ -298,6 +298,53 @@ let prop_fast_forward_matches_detailed_prefix =
             (List.length snaps) (List.length truncated)
       end)
 
+(* ---------------- Warm checkpoints ---------------- *)
+
+(* Round-trip the warm state mid-trace: a restored copy must replay the
+   same suffix with the same touch outcomes, and a detail window opened
+   on it must report the same statistics as one opened on the original. *)
+let test_warm_checkpoint_roundtrip () =
+  let trace = trace_of ~instrs:20_000 "mcf" in
+  let layout = layout_of trace in
+  let dyns = trace.Executor.dyns in
+  let warm = Cpu_core.warm_create cfg in
+  for i = 0 to 7_999 do
+    ignore (Cpu_core.warm_touch warm layout dyns.(i))
+  done;
+  let copy = Cpu_core.warm_restore (Cpu_core.warm_checkpoint warm) in
+  check int "position restored" 8_000 (Cpu_core.warm_pos copy);
+  let replay w =
+    List.init 4_000 (fun k -> Cpu_core.warm_touch w layout dyns.(8_000 + k))
+  in
+  let outcomes = replay warm in
+  check bool "touch outcomes identical" true (outcomes = replay copy);
+  check bool "suffix saw loads served from memory" true
+    (List.mem Cpu_core.Touch_mem outcomes);
+  let window w =
+    Cpu_core.run_window ~layout ~warm:w ~start:(Cpu_core.warm_pos w) ~warmup:500
+      ~measure:2_000 cfg trace
+  in
+  check bool "run_window stats identical" true (window warm = window copy);
+  check int "window advanced the position" 14_500 (Cpu_core.warm_pos copy)
+
+let test_warm_restore_rejects () =
+  let rejects what blob =
+    match Cpu_core.warm_restore blob with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "empty blob" "";
+  rejects "garbage" "not a checkpoint at all";
+  let current = Cpu_core.warm_checkpoint (Cpu_core.warm_create cfg) in
+  let magic = "crisp-warm2:" in
+  check bool "current magic" true
+    (String.sub current 0 (String.length magic) = magic);
+  (* The previous layout: a tuple of nested blobs behind [crisp-warm1:]. *)
+  rejects "crisp-warm1 blob"
+    ("crisp-warm1:"
+    ^ String.sub current (String.length magic)
+        (String.length current - String.length magic))
+
 let () =
   Alcotest.run "sample"
     [ ( "config",
@@ -317,6 +364,11 @@ let () =
             test_chunked_matches_full;
           Alcotest.test_case "journal reuse" `Quick test_chunked_journal_reuse
         ] );
+      ( "warm",
+        [ Alcotest.test_case "checkpoint round-trip" `Quick
+            test_warm_checkpoint_roundtrip;
+          Alcotest.test_case "restore rejects old and garbage blobs" `Quick
+            test_warm_restore_rejects ] );
       ( "fast_forward",
         [ QCheck_alcotest.to_alcotest prop_fast_forward_matches_detailed_prefix
         ] ) ]
