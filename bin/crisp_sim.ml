@@ -39,7 +39,11 @@ let train_arg =
   Arg.(value & opt int 80_000 & info [ "train-instrs" ] ~docv:"N" ~doc)
 
 let sched_arg =
-  let doc = "Scheduler variant: ooo, crisp, ibda-1k, ibda-8k, ibda-64k, ibda-inf, random." in
+  let doc =
+    "Scheduler variant: any figure-grid column variant (ooo, crisp, crisp-load, \
+     crisp-branch, ibda-1k, ibda-8k, ibda-64k, ibda-inf) or random (OOO with \
+     random-ready selection)."
+  in
   Arg.(value & opt string "crisp" & info [ "s"; "scheduler" ] ~docv:"SCHED" ~doc)
 
 let rs_arg =
@@ -74,18 +78,17 @@ let base_config ~rs ~rob ~issue_width =
     end;
     Cpu_config.with_issue_width w cfg
 
-let variant_of_string threshold = function
-  | "ooo" -> Ok Runner.Ooo
-  | "crisp" ->
-    Ok
-      (Runner.Crisp
-         ( Classifier.with_miss_contribution threshold Classifier.default,
-           Tagger.default_options ))
-  | "ibda-1k" -> Ok (Runner.Ibda Ibda.ist_1k)
-  | "ibda-8k" -> Ok (Runner.Ibda Ibda.ist_8k)
-  | "ibda-64k" -> Ok (Runner.Ibda Ibda.ist_64k)
-  | "ibda-inf" -> Ok (Runner.Ibda Ibda.ist_infinite)
-  | other -> Error other
+(* Resolve --scheduler through the figure grids' variant table, so a
+   variant name means the same memo key here as in a figure; --threshold
+   applies to plain crisp only. *)
+let variant_of_sched threshold sched =
+  let threshold = if sched = "crisp" then Some threshold else None in
+  let column = { Grid.label = sched; variant = sched; threshold; window = None } in
+  match Grid.variant_of_column column with
+  | Ok v -> v
+  | Error _ ->
+    Printf.eprintf "unknown scheduler %S\n" sched;
+    exit 2
 
 let simulate workload instrs train_instrs sched rs rob issue_width threshold =
   require_workload workload;
@@ -94,13 +97,7 @@ let simulate workload instrs train_instrs sched rs rob issue_width threshold =
     if sched = "random" then Cpu_config.with_policy Scheduler.Random_ready cfg else cfg
   in
   let variant =
-    if sched = "random" then Runner.Ooo
-    else
-      match variant_of_string threshold sched with
-      | Ok v -> v
-      | Error other ->
-        Printf.eprintf "unknown scheduler %S\n" other;
-        exit 2
+    if sched = "random" then Runner.Ooo else variant_of_sched threshold sched
   in
   let outcome =
     Runner.evaluate ~cfg ~eval_instrs:instrs ~train_instrs ~name:workload variant
@@ -141,13 +138,7 @@ let trace workload instrs train_instrs sched rs rob issue_width threshold output
     format ring =
   require_workload workload;
   let cfg = base_config ~rs ~rob ~issue_width in
-  let variant =
-    match variant_of_string threshold sched with
-    | Ok v -> v
-    | Error other ->
-      Printf.eprintf "unknown scheduler %S\n" other;
-      exit 2
-  in
+  let variant = variant_of_sched threshold sched in
   let tracer = Obs_tracer.create ~ring_capacity:ring () in
   let outcome, tracer =
     Runner.traced ~cfg ~eval_instrs:instrs ~train_instrs ~tracer ~name:workload
@@ -319,8 +310,8 @@ let jobs_arg =
     "Worker domains for the experiment grids (0 = one per recommended core). \
      With $(docv) = 1 the pool is bypassed and every cell runs sequentially \
      on the calling domain; any other value fans the (workload x variant) \
-     cells out to a work-stealing domain pool.  Figures are byte-identical \
-     for every value."
+     cells out to a FIFO domain pool.  Figures are byte-identical for \
+     every value."
   in
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -445,10 +436,10 @@ let experiments figures instrs train_instrs jobs journal_path resume deadline
   let ps = Exec.Pool.stats (Experiments.current_pool ()) in
   Printf.eprintf
     "farm: memo hits %d  misses %d  dedups %d  evictions %d  entries %d; \
-     pool workers %d  queued %d  running %d  stolen %d\n"
+     pool workers %d  queued %d  running %d\n"
     m.Exec.Memo.hits m.Exec.Memo.misses m.Exec.Memo.dedups m.Exec.Memo.evictions
     m.Exec.Memo.entries ps.Exec.Pool.workers ps.Exec.Pool.queued
-    ps.Exec.Pool.running ps.Exec.Pool.stolen;
+    ps.Exec.Pool.running;
   finish_resilient_run ()
 
 (* ------------------------------------------------------------------ *)
@@ -801,14 +792,14 @@ let client_io_timeout_arg =
 let print_farm_stats (s : Farm_protocol.farm_stats) =
   Printf.printf
     "memo: %d hits  %d misses  %d dedups  %d evictions  %d entries\n\
-     pool: %d workers  %d queued  %d running  %d stolen\n\
+     pool: %d workers  %d queued  %d running\n\
      journal: %d cells   requests served: %d   sampled cells: %d\n"
     s.Farm_protocol.memo.Exec.Memo.hits s.Farm_protocol.memo.Exec.Memo.misses
     s.Farm_protocol.memo.Exec.Memo.dedups
     s.Farm_protocol.memo.Exec.Memo.evictions
     s.Farm_protocol.memo.Exec.Memo.entries s.Farm_protocol.pool.Exec.Pool.workers
     s.Farm_protocol.pool.Exec.Pool.queued s.Farm_protocol.pool.Exec.Pool.running
-    s.Farm_protocol.pool.Exec.Pool.stolen s.Farm_protocol.journal_cells
+    s.Farm_protocol.journal_cells
     s.Farm_protocol.requests_served s.Farm_protocol.sampled_cells
 
 let client grids instrs train_instrs socket do_ping do_stats do_shutdown

@@ -2,9 +2,9 @@
 
    The default command listens on a Unix-domain socket for crisp_sim
    clients, decomposes their grid requests into canonical cells, dedups
-   identical cells across all connected clients, shards them over a
-   work-stealing domain pool under supervision, and (with --journal-dir)
-   checkpoints every completed cell so a killed daemon restarts warm.
+   identical cells across all connected clients, runs them on a FIFO
+   domain pool under supervision, and (with --journal-dir) checkpoints
+   every completed cell so a killed daemon restarts warm.
    Connections live under a hostile-traffic lifecycle: per-frame I/O
    deadlines, idle reaping, connection/request/queue budgets with
    structured Overloaded sheds, and graceful SIGTERM drain.

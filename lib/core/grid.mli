@@ -62,6 +62,13 @@ val variant_of_column : column -> (Runner.variant, string) result
 (** Resolve a column to the runner variant it names; [Error] explains an
     unknown variant name or a threshold on a non-CRISP column. *)
 
+val long_poles_first : string list -> (int * string) list
+(** The names paired with their indices, the pointer-chasing giants
+    (mcf, xhpcg, omnetpp, moses) first and otherwise in input order.
+    Grid cells are submitted in this order, both by {!Experiments} and by
+    the farm daemon, so the slowest rows start first and never straggle
+    behind a queue of cheap cells. *)
+
 val validate : spec -> (unit, string) result
 (** Everything {!cell_value} would reject, checked up front: unknown
     workload names, unresolvable columns, empty rows or columns — the

@@ -1,32 +1,24 @@
-type 'a resolution = ('a, exn * Printexc.raw_backtrace) result
-
-type 'a state =
-  | Pending of ('a resolution -> unit) list  (* callbacks, reverse order *)
-  | Resolved of 'a resolution
-
 type 'a t = {
   mutex : Mutex.t;
   cond : Condition.t;
-  mutable state : 'a state;
+  mutable state : ('a, exn * Printexc.raw_backtrace) result option;
 }
 
-let create () =
-  { mutex = Mutex.create (); cond = Condition.create (); state = Pending [] }
+let create () = { mutex = Mutex.create (); cond = Condition.create (); state = None }
 
 let of_value v =
-  { mutex = Mutex.create (); cond = Condition.create (); state = Resolved (Ok v) }
+  { mutex = Mutex.create (); cond = Condition.create (); state = Some (Ok v) }
 
 let resolve t resolution =
   Mutex.lock t.mutex;
   match t.state with
-  | Resolved _ ->
+  | Some _ ->
     Mutex.unlock t.mutex;
     invalid_arg "Future: already resolved"
-  | Pending callbacks ->
-    t.state <- Resolved resolution;
+  | None ->
+    t.state <- Some resolution;
     Condition.broadcast t.cond;
-    Mutex.unlock t.mutex;
-    List.iter (fun cb -> cb resolution) (List.rev callbacks)
+    Mutex.unlock t.mutex
 
 let fulfill t v = resolve t (Ok v)
 
@@ -36,12 +28,12 @@ let await t =
   Mutex.lock t.mutex;
   let rec wait () =
     match t.state with
-    | Resolved r ->
+    | Some r ->
       Mutex.unlock t.mutex;
       (match r with
       | Ok v -> v
       | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
-    | Pending _ ->
+    | None ->
       Condition.wait t.cond t.mutex;
       wait ()
   in
@@ -49,64 +41,6 @@ let await t =
 
 let poll t =
   Mutex.lock t.mutex;
-  let r =
-    match t.state with
-    | Pending _ -> None
-    | Resolved (Ok v) -> Some (Ok v)
-    | Resolved (Error (exn, _)) -> Some (Error exn)
-  in
+  let r = Option.map (Result.map_error fst) t.state in
   Mutex.unlock t.mutex;
   r
-
-let is_resolved t =
-  Mutex.lock t.mutex;
-  let r = match t.state with Resolved _ -> true | Pending _ -> false in
-  Mutex.unlock t.mutex;
-  r
-
-let on_resolve t cb =
-  Mutex.lock t.mutex;
-  match t.state with
-  | Pending callbacks ->
-    t.state <- Pending (cb :: callbacks);
-    Mutex.unlock t.mutex
-  | Resolved r ->
-    Mutex.unlock t.mutex;
-    cb r
-
-let map f t =
-  let derived = create () in
-  on_resolve t (function
-    | Error (exn, bt) -> fail derived exn bt
-    | Ok v -> (
-      match f v with
-      | w -> fulfill derived w
-      | exception exn -> fail derived exn (Printexc.get_raw_backtrace ())));
-  derived
-
-let join_all futures =
-  let n = List.length futures in
-  let joined = create () in
-  if n = 0 then fulfill joined []
-  else begin
-    let results = Array.make n None in
-    let remaining = Atomic.make n in
-    let failed = Atomic.make false in
-    List.iteri
-      (fun i fut ->
-        on_resolve fut (function
-          | Error (exn, bt) ->
-            (* First failure wins; later resolutions are dropped. *)
-            if not (Atomic.exchange failed true) then fail joined exn bt
-          | Ok v ->
-            results.(i) <- Some v;
-            if Atomic.fetch_and_add remaining (-1) = 1 && not (Atomic.get failed)
-            then
-              fulfill joined
-                (Array.to_list results
-                |> List.map (function Some v -> v | None -> assert false))))
-      futures
-  end;
-  joined
-
-let await_all futures = List.map await futures

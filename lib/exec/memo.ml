@@ -58,16 +58,6 @@ let find_or_run t key f =
       Future.fail fut exn bt;
       Printexc.raise_with_backtrace exn bt)
 
-let find_opt t key =
-  Mutex.lock t.mutex;
-  let r =
-    match Hashtbl.find_opt t.table key with
-    | Some (Ready v) -> Some v
-    | Some (In_flight _) | None -> None
-  in
-  Mutex.unlock t.mutex;
-  r
-
 let remove t key =
   Mutex.lock t.mutex;
   (match Hashtbl.find_opt t.table key with
@@ -77,48 +67,29 @@ let remove t key =
   | Some (In_flight _) | None -> ());
   Mutex.unlock t.mutex
 
+let ready table =
+  Hashtbl.fold (fun _ e n -> match e with Ready _ -> n + 1 | In_flight _ -> n) table 0
+
 let clear t =
   Mutex.lock t.mutex;
-  let dropped =
-    Hashtbl.fold
-      (fun _ e acc -> match e with Ready _ -> acc + 1 | In_flight _ -> acc)
-      t.table 0
-  in
-  t.evictions <- t.evictions + dropped;
+  t.evictions <- t.evictions + ready t.table;
   (* Keep in-flight entries: their computations will still publish, and
      dropping them would let a concurrent duplicate start. *)
-  let in_flight =
-    Hashtbl.fold
-      (fun k e acc -> match e with In_flight _ -> (k, e) :: acc | Ready _ -> acc)
-      t.table []
-  in
-  Hashtbl.reset t.table;
-  List.iter (fun (k, e) -> Hashtbl.replace t.table k e) in_flight;
+  Hashtbl.filter_map_inplace
+    (fun _ e -> match e with Ready _ -> None | In_flight _ -> Some e)
+    t.table;
   Mutex.unlock t.mutex
-
-let length t =
-  Mutex.lock t.mutex;
-  let n =
-    Hashtbl.fold
-      (fun _ e acc -> match e with Ready _ -> acc + 1 | In_flight _ -> acc)
-      t.table 0
-  in
-  Mutex.unlock t.mutex;
-  n
 
 let stats t =
   Mutex.lock t.mutex;
-  let entries =
-    Hashtbl.fold
-      (fun _ e acc -> match e with Ready _ -> acc + 1 | In_flight _ -> acc)
-      t.table 0
-  in
   let s =
     { hits = t.hits;
       misses = t.misses;
       dedups = t.dedups;
       evictions = t.evictions;
-      entries }
+      entries = ready t.table }
   in
   Mutex.unlock t.mutex;
   s
+
+let length t = (stats t).entries

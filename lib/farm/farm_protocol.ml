@@ -114,8 +114,7 @@ let json_of_pool_stats (s : Exec.Pool.stats) =
   J.Obj
     [ ("workers", J.num_int s.workers);
       ("queued", J.num_int s.queued);
-      ("running", J.num_int s.running);
-      ("stolen", J.num_int s.stolen) ]
+      ("running", J.num_int s.running) ]
 
 let json_of_farm_stats s =
   J.Obj
@@ -247,8 +246,7 @@ let memo_stats_of_json j : Exec.Memo.stats =
 let pool_stats_of_json j : Exec.Pool.stats =
   { workers = int ~what:"pool.workers" (field "workers" j);
     queued = int ~what:"pool.queued" (field "queued" j);
-    running = int ~what:"pool.running" (field "running" j);
-    stolen = int ~what:"pool.stolen" (field "stolen" j) }
+    running = int ~what:"pool.running" (field "running" j) }
 
 let farm_stats_of_json j =
   { memo = memo_stats_of_json (field "memo" j);

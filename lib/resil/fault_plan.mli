@@ -5,7 +5,7 @@
     sites) or {!mangle} (data sites) every time execution passes it.
     Sites key their hit counters by [(site, ident)], where [ident]
     identifies the logical unit of work (a grid cell, a memo key); this
-    is what makes injection deterministic under a work-stealing pool:
+    is what makes injection deterministic under a multi-domain pool:
     the Nth hit of a given cell is the same event no matter which domain
     runs the cell or in what global order, so the same seed and plan
     produce the same faults at [--jobs 1], [2] or [8].

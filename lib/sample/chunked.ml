@@ -85,6 +85,6 @@ let run ?criticality ?layout ?(pool = Exec.Pool.sequential) ?journal ~chunks ~wa
                 cfg trace
             end))
   in
-  let per_chunk = Array.map (Exec.Pool.await pool) futures in
+  let per_chunk = Array.map Exec.Future.await futures in
   let stats = Array.fold_left Cpu_stats.add Cpu_stats.zero per_chunk in
   { chunks; warmup; stats; per_chunk }

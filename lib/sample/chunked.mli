@@ -37,4 +37,6 @@ val run :
     stitched statistics.  With [journal] supplied, checkpoints are
     recorded under {!chunk_key} and reused on replay (the caller's
     journal signature must pin down the config and trace identity).
+    The chunks are submitted to [pool] and awaited, so [run] must not be
+    called from a job of that same pool.
     @raise Invalid_argument if [chunks <= 0] or [warmup < 0]. *)

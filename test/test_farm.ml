@@ -301,9 +301,8 @@ let gen_memo_stats =
 
 let gen_pool_stats =
   let open QCheck.Gen in
-  let* workers = int_range 1 64 and* queued = small_nat in
-  let* running = small_nat and* stolen = small_nat in
-  return { Exec.Pool.workers; queued; running; stolen }
+  let* workers = int_range 1 64 and* queued = small_nat and* running = small_nat in
+  return { Exec.Pool.workers; queued; running }
 
 let gen_farm_stats =
   let open QCheck.Gen in
