@@ -374,11 +374,13 @@ let parse_sample = function
       Printf.eprintf "crisp_sim: bad --sample config: %s\n" msg;
       exit 2)
 
-(* The journal signature ties checkpoints to the run shape: resuming
-   with different instruction budgets — or flipping between sampled and
-   full fidelity — must recompute, not reuse. *)
+(* The journal signature ties checkpoints to the run shape and payload
+   format: resuming with different instruction budgets, flipping between
+   sampled and full fidelity, or reading a journal written in another
+   payload format must recompute, not reuse. *)
 let experiments_signature ~instrs ~train_instrs ~sample =
-  Printf.sprintf "crisp experiments eval=%d train=%d%s" instrs train_instrs
+  Printf.sprintf "crisp experiments payload=hexfloat eval=%d train=%d%s" instrs
+    train_instrs
     (match sample with
     | None -> ""
     | Some s -> " sample=" ^ Sample_config.to_string s)

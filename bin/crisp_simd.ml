@@ -1,7 +1,8 @@
 (* crisp_simd: the persistent simulation-farm daemon.
 
    The default command listens on a Unix-domain socket for crisp_sim
-   clients, decomposes their grid requests into canonical cells, dedups
+   clients and decomposes their grid requests into canonical cells.  One
+   Resil.Cells store (the same store the local figure grids use) dedups
    identical cells across all connected clients, runs them on a FIFO
    domain pool under supervision, and (with --journal-dir) checkpoints
    every completed cell so a killed daemon restarts warm.

@@ -662,37 +662,6 @@ module Live = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Definite assignment                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Definite = struct
-  type t = bool array
-
-  let equal a b = a = b
-
-  let join a b = Array.map2 ( && ) a b
-
-  let widen ~prev:_ cand = cand
-
-  let transfer ~pc:_ (d : Program.decoded) fact =
-    if d.Program.dst >= 0 && d.Program.dst < Isa.num_regs then begin
-      let out = Array.copy fact in
-      out.(d.Program.dst) <- true;
-      out
-    end
-    else fact
-
-  let edge ~pc:_ _ ~succ:_ fact = Some fact
-
-  let init () = Array.make Isa.num_regs true
-
-  let entry_of initialised =
-    let e = Array.make Isa.num_regs false in
-    List.iter (fun r -> if r >= 0 && r < Isa.num_regs then e.(r) <- true) initialised;
-    e
-end
-
-(* ------------------------------------------------------------------ *)
 (* Footprint                                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -5,9 +5,8 @@
     (join semilattice with a transfer function and optional branch-edge
     refinement), and a small library of concrete domains — value ranges
     ({!Ranges}, an interval lattice with loop-aware widening), reaching
-    definitions ({!Reaching}), liveness ({!Live}), definite assignment
-    ({!Definite}) — plus the derived per-instruction memory footprint
-    ({!Footprint}).
+    definitions ({!Reaching}) and liveness ({!Live}) — plus the derived
+    per-instruction memory footprint ({!Footprint}).
 
     Every abstract operation mirrors {!Trace.Executor} semantics exactly
     (native-int wrap-around, logical shift, [x/0 = 0]); qcheck properties
@@ -193,18 +192,6 @@ module Live : sig
   include DOMAIN with type t := t
 
   val init : unit -> t
-end
-
-(** Definite assignment (must-analysis): registers defined on every
-    path from entry.  [init] is the all-defined join identity. *)
-module Definite : sig
-  type t = bool array
-
-  include DOMAIN with type t := t
-
-  val init : unit -> t
-
-  val entry_of : Isa.reg list -> t
 end
 
 (** {1 Memory footprint} *)

@@ -76,7 +76,6 @@ let warnings ds = List.filter (fun d -> d.severity = Warning) ds
 (* The lint driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module DefiniteSolver = Dataflow.Solver (Dataflow.Definite)
 module RangesSolver = Dataflow.Solver (Dataflow.Ranges)
 module LiveSolver = Dataflow.Solver (Dataflow.Live)
 module ReachSolver = Dataflow.Solver (Dataflow.Reaching)
@@ -148,14 +147,19 @@ let check ?(initialised = []) ?bounds ?entry (prog : Program.t) =
         if not r then emit pc Warning Unreachable "unreachable from the entry point")
       reachable;
     (* Register dataflow on the reachable portion only: diagnostics about
-       dead code would be double reports. *)
-    let defined =
-      DefiniteSolver.solve cfg ~init:(Dataflow.Definite.init ())
-        ~entry:(Dataflow.Definite.entry_of initialised)
+       dead code would be double reports.  A register is definitely
+       assigned before [pc] iff it is a declared live-in or the entry
+       value (-1) does not reach [pc]. *)
+    let reach =
+      ReachSolver.solve cfg ~init:(Dataflow.Reaching.init ())
+        ~entry:(Dataflow.Reaching.entry ())
     in
     let init_set = Array.make Isa.num_regs false in
     List.iter (fun r -> if r >= 0 && r < Isa.num_regs then init_set.(r) <- true)
       initialised;
+    let defined pc r =
+      init_set.(r) || not (Dataflow.Reaching.S.mem (-1) reach.Dataflow.before.(pc).(r))
+    in
     let producers = Array.make Isa.num_regs [] in
     Array.iteri
       (fun pc (d : Program.decoded) ->
@@ -168,7 +172,7 @@ let check ?(initialised = []) ?bounds ?entry (prog : Program.t) =
         if reachable.(pc) then
           List.iter
             (fun r ->
-              if r < Isa.num_regs && not defined.Dataflow.before.(pc).(r) then
+              if r < Isa.num_regs && not (defined pc r) then
                 if
                   (not init_set.(r))
                   && d.Program.dst = r
@@ -269,10 +273,6 @@ let check ?(initialised = []) ?bounds ?entry (prog : Program.t) =
        operands are all defined outside the loop and whose result is
        consumed as a memory base inside the loop — recomputed every
        iteration for the same address. *)
-    let reach =
-      ReachSolver.solve cfg ~init:(Dataflow.Reaching.init ())
-        ~entry:(Dataflow.Reaching.entry ())
-    in
     let loops = Dataflow.Cfg.loops cfg in
     let flagged = Hashtbl.create 8 in
     List.iter

@@ -10,8 +10,9 @@
       program (a target equal to the code length — a label on the final
       instruction boundary — merely ends execution and is flagged as a
       warning), and every instruction is reachable from the entry point;
-    - {b register dataflow}: a definite-assignment analysis over the CFG
-      flags registers read before any definition on some path.  The
+    - {b register dataflow}: definite assignment, derived from reaching
+      definitions over the CFG, flags registers read before any
+      definition on some path.  The
       executor zero-initialises the register file, so such reads are legal
       but almost always unintended — kernels must declare their live-in
       registers via [reg_init].  A register whose {e only} producer is the

@@ -19,22 +19,18 @@ let set_pool p = pool := p
 
 let current_pool () = !pool
 
-(* ------------------------------------------------------------------ *)
 (* Resilience context: every grid cell runs as a supervised job under
    the installed policy, and — when a journal is installed — completed
    cells are checkpointed so a killed run can resume recomputing only
    the missing ones. *)
 
-type resilience = {
-  policy : Resil.Supervise.policy;
-  journal : Resil.Journal.t option;
-}
+let policy = ref Resil.Supervise.default_policy
 
-let resilience = ref { policy = Resil.Supervise.default_policy; journal = None }
+let journal = ref None
 
-let set_resilience ?journal policy = resilience := { policy; journal }
-
-let current_resilience () = !resilience
+let set_resilience ?journal:j p =
+  policy := p;
+  journal := j
 
 (* ------------------------------------------------------------------ *)
 (* Sampling context: when installed, grid Gain cells run sampled timing
@@ -51,83 +47,25 @@ let current_sample () = !sample
 
 let cell_ident ~tag name j = Printf.sprintf "%s/%s/%d" tag name j
 
-(* Serve a cell from the journal if a valid checkpoint exists.  The
-   journal layer has already digest-checked the payload; a checkpoint
-   that fails to unmarshal (version skew the signature failed to
-   capture) is quarantined, not trusted. *)
-let restore_cell ident =
-  match (!resilience).journal with
-  | None -> None
-  | Some j -> (
-    match Resil.Journal.find j ident with
-    | None -> None
-    | Some payload -> (
-      match Marshal.from_string payload 0 with
-      | v ->
-        Resil.Log.record (Resil.Log.Restored { ident });
-        Some v
-      | exception _ ->
-        Resil.Log.record
-          (Resil.Log.Quarantined
-             { ident; reason = "journal payload would not unmarshal; recomputing" });
-        None))
-
-(* A failed checkpoint write degrades the *checkpoint*, never the cell:
-   the computed value is still used, it just will not survive a kill. *)
-let checkpoint_cell ident v =
-  match (!resilience).journal with
-  | None -> ()
-  | Some j -> (
-    try Resil.Journal.record j ~key:ident ~payload:(Marshal.to_string v [])
-    with Resil.Fault_plan.Injected site ->
-      Resil.Log.record
-        (Resil.Log.Quarantined
-           { ident;
-             reason =
-               Printf.sprintf "checkpoint write failed (injected fault at %s); \
-                               cell kept in memory only" site }))
-
-(* [submit_cells ~tag ~degraded ~names ~cols ~cell] fans the full grid
-   out to the pool as supervised jobs, heaviest rows first
-   ({!Grid.long_poles_first}), and reassembles rows in catalog order.
-   Cells are pure (memoised through Runner), so execution order cannot
-   change the values.  A cell with a valid checkpoint is restored instead
-   of recomputed; a cell whose job times out, crashes through its retry
-   budget or is quarantined resolves to [degraded] (rendered as an error
-   marker by Report) and is recorded in the resilience log so the CLI
-   can summarise and exit nonzero. *)
-let submit_cells ~tag ~degraded ~names ~cols ~cell =
-  let p = !pool in
-  let policy = (!resilience).policy in
-  (* On the sequential pool the thunk runs inline at spawn, so join (and
-     the checkpoint write) right away: a kill mid-grid then salvages
-     every completed cell instead of losing them all to the deferred
-     join loop.  On a real pool joining here would serialise the grid. *)
-  let eager = Exec.Pool.parallelism p <= 1 in
-  let settle ident handle =
-    match Resil.Supervise.join handle with
-    | Ok v ->
-      checkpoint_cell ident v;
-      Ok v
-    | Error e -> Error e
-  in
-  let slots = Hashtbl.create (List.length names * List.length cols) in
+(* [submit_cells ~tag ~width ~names ~cols ~cell] fans the full grid out
+   to a fresh {!Resil.Cells} store (installed pool, policy and journal),
+   heaviest rows first ({!Grid.long_poles_first}), and reassembles rows
+   in catalog order.  Cells are pure (memoised through Runner), so
+   execution order cannot change the values.  A cell whose job times
+   out, crashes through its retry budget or is quarantined resolves to
+   [width] NaNs (rendered as an error marker by Report); the store has
+   logged it [Degraded] so the CLI can summarise and exit nonzero.  The
+   store lives for one call, so no cell outlives its figure. *)
+let submit_cells ~tag ~width ~names ~cols ~cell =
+  let store = Resil.Cells.create ?journal:!journal ~width !pool !policy in
+  let handles = Hashtbl.create (List.length names * List.length cols) in
   List.iter
     (fun (i, name) ->
       List.iteri
         (fun j col ->
-          let ident = cell_ident ~tag name j in
-          let slot =
-            match restore_cell ident with
-            | Some v -> Either.Left (Ok v)
-            | None ->
-              let handle =
-                Resil.Supervise.spawn p policy ~ident (fun () -> cell name col)
-              in
-              if eager then Either.Left (settle ident handle)
-              else Either.Right handle
-          in
-          Hashtbl.replace slots (i, j) slot)
+          let key = cell_ident ~tag name j in
+          let _, h = Resil.Cells.acquire store ~key (fun () -> cell name col) in
+          Hashtbl.replace handles (i, j) h)
         cols)
     (Grid.long_poles_first names);
   List.mapi
@@ -135,21 +73,18 @@ let submit_cells ~tag ~degraded ~names ~cols ~cell =
       ( name,
         List.mapi
           (fun j _ ->
-            let ident = cell_ident ~tag name j in
-            let outcome =
-              match Hashtbl.find slots (i, j) with
-              | Either.Left r -> r
-              | Either.Right handle -> settle ident handle
-            in
-            match outcome with
+            match Resil.Cells.await (Hashtbl.find handles (i, j)) with
             | Ok v -> v
-            | Error e ->
-              Resil.Log.record
-                (Resil.Log.Degraded
-                   { ident; error = Resil.Supervise.error_to_string e });
-              degraded)
+            | Error _ -> Array.make width Float.nan)
           cols ))
     names
+
+(* Row shapes: a grid of scalar cells, or one vector cell per row. *)
+let scalar_rows rows =
+  List.map (fun (name, vs) -> (name, List.map (fun v -> v.(0)) vs)) rows
+
+let vector_rows rows =
+  List.map (function name, [ v ] -> (name, Array.to_list v) | _ -> assert false) rows
 
 let ipc_of (outcome : Runner.outcome) = Cpu_stats.ipc outcome.Runner.stats
 
@@ -260,11 +195,12 @@ let fig3 () =
    identical cells and render identical text. *)
 let run_grid ~sizes (spec : Grid.spec) =
   let rows =
-    submit_cells ~tag:spec.Grid.tag ~degraded:Float.nan ~names:spec.Grid.names
+    submit_cells ~tag:spec.Grid.tag ~width:1 ~names:spec.Grid.names
       ~cols:spec.Grid.columns
       ~cell:(fun name column ->
-        Grid.cell_value ?sample:!sample ~eval_instrs:sizes.eval_instrs
-          ~train_instrs:sizes.train_instrs ~name ~metric:spec.Grid.metric column)
+        [| Grid.cell_value ?sample:!sample ~eval_instrs:sizes.eval_instrs
+             ~train_instrs:sizes.train_instrs ~name ~metric:spec.Grid.metric column |])
+    |> scalar_rows
   in
   Grid.render spec rows;
   Grid.full_rows spec rows
@@ -289,8 +225,7 @@ let fig11 ?(sizes = default_sizes) () =
 
 let fig12 ?(sizes = default_sizes) () =
   let rows =
-    submit_cells ~tag:"fig12" ~degraded:[ Float.nan; Float.nan; Float.nan ]
-      ~names:apps ~cols:[ () ] ~cell:(fun name () ->
+    submit_cells ~tag:"fig12" ~width:3 ~names:apps ~cols:[ () ] ~cell:(fun name () ->
         let artifacts = crisp_artifacts ~sizes ~name in
         let critical = Tagger.is_critical artifacts.Fdo.tagging in
         let eval_workload =
@@ -315,10 +250,10 @@ let fig12 ?(sizes = default_sizes) () =
         let mpki_delta =
           if mpki_base < 0.01 then 0. else (mpki_tagged -. mpki_base) /. mpki_base
         in
-        [ (float_of_int static_tagged /. float_of_int static_base) -. 1.;
-          (float_of_int dyn_tagged /. float_of_int dyn_base) -. 1.;
-          mpki_delta ])
-    |> List.map (function name, [ v ] -> (name, v) | _ -> assert false)
+        [| (float_of_int static_tagged /. float_of_int static_base) -. 1.;
+           (float_of_int dyn_tagged /. float_of_int dyn_base) -. 1.;
+           mpki_delta |])
+    |> vector_rows
   in
   Report.print_percent_table
     ~title:"Figure 12: code-footprint overhead of the criticality prefix"
@@ -330,23 +265,22 @@ let fig12 ?(sizes = default_sizes) () =
    overlap.  Counts travel as floats so the rows fit the shared grid
    plumbing (and the golden vector); they are exact small integers. *)
 let static_crit ?(sizes = default_sizes) () =
-  let degraded = List.init 8 (fun _ -> Float.nan) in
   let rows =
-    submit_cells ~tag:"static_crit" ~degraded ~names:Catalog.names ~cols:[ () ]
+    submit_cells ~tag:"static_crit" ~width:8 ~names:Catalog.names ~cols:[ () ]
       ~cell:(fun name () ->
         let wl = Catalog.make ~input:Workload.Ref ~instrs:sizes.eval_instrs name in
         let prediction = Static_crit.analyze wl in
         let tagging = (crisp_artifacts ~sizes ~name).Fdo.tagging in
         let c = Static_crit.compare_tagging prediction tagging in
-        [ float_of_int c.Static_crit.predicted_pcs;
-          float_of_int c.Static_crit.tagged_pcs;
-          float_of_int c.Static_crit.overlap_pcs;
-          c.Static_crit.precision;
-          c.Static_crit.recall;
-          c.Static_crit.jaccard;
-          float_of_int c.Static_crit.load_roots;
-          float_of_int c.Static_crit.load_roots_hit ])
-    |> List.map (function name, [ v ] -> (name, v) | _ -> assert false)
+        [| float_of_int c.Static_crit.predicted_pcs;
+           float_of_int c.Static_crit.tagged_pcs;
+           float_of_int c.Static_crit.overlap_pcs;
+           c.Static_crit.precision;
+           c.Static_crit.recall;
+           c.Static_crit.jaccard;
+           float_of_int c.Static_crit.load_roots;
+           float_of_int c.Static_crit.load_roots_hit |])
+    |> vector_rows
   in
   Report.print_table
     ~title:"Static criticality predictor vs profiled CRISP tagger"
@@ -373,7 +307,7 @@ let ablations ?(sizes = default_sizes) () =
   in
   let random_col = List.length cols - 1 in
   let rows =
-    submit_cells ~tag:"ablations" ~degraded:Float.nan ~names:subset
+    submit_cells ~tag:"ablations" ~width:1 ~names:subset
       ~cols:(List.mapi (fun j v -> (j, v)) cols)
       ~cell:(fun name (j, v) ->
         if j = random_col then begin
@@ -387,9 +321,10 @@ let ablations ?(sizes = default_sizes) () =
               ~eval_instrs:sizes.eval_instrs ~train_instrs:sizes.train_instrs ~name
               Runner.Ooo
           in
-          (ipc_of rnd /. ipc_of base) -. 1.
+          [| (ipc_of rnd /. ipc_of base) -. 1. |]
         end
-        else gain ~sizes ~cfg ~name v)
+        else [| gain ~sizes ~cfg ~name v |])
+    |> scalar_rows
   in
   Report.print_percent_table
     ~title:"Ablations: CRISP design choices (gain over OOO)"

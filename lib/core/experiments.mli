@@ -27,11 +27,6 @@ val set_pool : Exec.Pool.t -> unit
 
 val current_pool : unit -> Exec.Pool.t
 
-type resilience = {
-  policy : Resil.Supervise.policy;
-  journal : Resil.Journal.t option;
-}
-
 val set_resilience : ?journal:Resil.Journal.t -> Resil.Supervise.policy -> unit
 (** Install the supervision policy (deadline / retries / backoff seed)
     applied to every grid cell, and optionally a checkpoint journal.
@@ -40,14 +35,14 @@ val set_resilience : ?journal:Resil.Journal.t -> Resil.Supervise.policy -> unit
     restored instead of recomputed (logged as [Restored]), and a killed
     run resumed against the same journal recomputes only the missing
     cells.  The default is {!Resil.Supervise.default_policy} and no
-    journal.
+    journal.  Each grid call runs its cells through a fresh
+    {!Resil.Cells} store, so payloads are comma-joined hexfloat and a
+    journalled payload that does not parse is quarantined, not trusted.
 
     A cell whose job times out, exhausts its retries or is quarantined
     resolves to the figure's degraded marker (NaN — rendered as ["--"]
     by {!Report}) and is recorded in {!Resil.Log}; callers decide the
     exit code from {!Resil.Log.counts}. *)
-
-val current_resilience : unit -> resilience
 
 val set_sample : Sample_config.t option -> unit
 (** Install (or clear) the sampling config for the figure grids: with a

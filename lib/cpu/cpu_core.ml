@@ -728,18 +728,6 @@ let warm_touch w layout (d : Executor.dyn) =
     Touch_none
   | _ -> Touch_none
 
-(* One blob, one magic: the warm record is plain data once no tracer is
-   attached, and [run_window] detaches its tracer before returning. *)
-let warm_checkpoint_magic = "crisp-warm2:"
-
-let warm_checkpoint w = warm_checkpoint_magic ^ Marshal.to_string w []
-
-let warm_restore blob =
-  let n = String.length warm_checkpoint_magic in
-  if String.length blob < n || String.sub blob 0 n <> warm_checkpoint_magic then
-    invalid_arg "Cpu_core.warm_restore: not a warm-state checkpoint";
-  (Marshal.from_string blob n : warm)
-
 (* Cumulative counter snapshot, for expressing a window as a delta. *)
 type counters = {
   c_cycle : int;
@@ -789,8 +777,8 @@ let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
   in
   let s = make_state ?criticality ?layout ?tracer ?warm ~start cfg trace in
   (* The window's cycle counter starts at zero; state adopted from a warm
-     carrier (or a restored checkpoint) may hold stamps from a previous
-     window's time base, which must not read as in-flight work here. *)
+     carrier may hold stamps from a previous window's time base, which
+     must not read as in-flight work here. *)
   (match warm with Some _ -> Memory_system.quiesce s.mem | None -> ());
   let max_cycles =
     match cfg.Cpu_config.max_cycles with
@@ -798,8 +786,8 @@ let run_window ?criticality ?layout ?tracer ?warm ~start ~warmup ~measure cfg
     | None -> (400 * target) + 100_000
   in
   (* Retirement is width-granular; the retire ceiling makes both window
-     boundaries exact, so chunked runs partition the trace with no
-     overlap and stitched counts sum to the full-run counts. *)
+     boundaries exact, so consecutive windows partition the trace with
+     no overlap and stitched counts sum to the full-run counts. *)
   s.retire_stop <- warmup;
   run_cycles s ~target:warmup ~max_cycles;
   let warmed = s.retired in

@@ -47,15 +47,13 @@ val run :
 
     The warm mode is the simulator's only functional cache/predictor
     replay.  The software profiler and IBDA walk a trace through it, and
-    the SMARTS-style sampling engines in [lib/sample] use it to carry
-    microarchitectural state between detail windows; checkpoints let one
-    long trace be split into chunks simulated concurrently. *)
+    the SMARTS-style sampler in [lib/sample] uses it to carry
+    microarchitectural state between detail windows. *)
 
 type warm
 (** Microarchitectural state carried through functional fast-forward: the
     memory hierarchy and the TAGE/BTB/RAS predictors, and the trace
-    position they have been warmed up to.  Not thread-safe; each
-    concurrent chunk restores its own copy. *)
+    position they have been warmed up to.  Not thread-safe. *)
 
 val warm_create : Cpu_config.t -> warm
 
@@ -84,15 +82,6 @@ val warm_touch : warm -> Layout.t -> Executor.dyn -> touch
 
     The sampler's fast-forward ignores the result; [Profiler] and [Ibda]
     are loops over it that keep only their own counters and tables. *)
-
-val warm_checkpoint : warm -> string
-(** Serialise the warm state as one opaque [crisp-warm2:] blob.
-    Restoring yields an independent deep copy, so one checkpoint can seed
-    several concurrent chunk simulations. *)
-
-val warm_restore : string -> warm
-(** @raise Invalid_argument if the blob is not a warm-state checkpoint
-    of the current layout (a [crisp-warm1:] blob is rejected too). *)
 
 val run_window :
   ?criticality:criticality ->

@@ -20,7 +20,7 @@ type request =
   | Shutdown
   | Run_grid of grid_req
 
-type source =
+type source = Resil.Cells.source =
   | Computed
   | Memo_hit
   | Journal_hit

@@ -30,12 +30,8 @@ type config = {
 
 type t = {
   cfg : config;
-  cells : (string, Farm_cell.t) Exec.Memo.t;
-  cells_journal : Resil.Journal.t option;
+  cells : Resil.Cells.t;
   server_journal : Resil.Journal.t option;
-  (* Journal's file appends are serialised process-wide, but its
-     in-memory table is not; client threads share these journals. *)
-  journal_mutex : Mutex.t;
   (* Admission-lint verdicts per workload name.  Catalog programs are
      immutable for the life of the daemon, so a verdict never expires;
      the mutex covers concurrent client threads. *)
@@ -100,10 +96,8 @@ let create cfg =
       | None -> 0)
   in
   { cfg;
-    cells = Exec.Memo.create ~size_hint:256 ();
-    cells_journal;
+    cells = Resil.Cells.create ?journal:cells_journal ~width:1 cfg.pool cfg.policy;
     server_journal;
-    journal_mutex = Mutex.create ();
     lint_cache = Hashtbl.create 32;
     lint_mutex = Mutex.create ();
     requests_served = Atomic.make served;
@@ -112,25 +106,14 @@ let create cfg =
     stop_flag = Atomic.make false;
     listen_fd = Atomic.make None }
 
-let with_journals t f =
-  Mutex.lock t.journal_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.journal_mutex) f
-
 let stats t =
-  { P.memo = Exec.Memo.stats t.cells;
+  { P.memo = Resil.Cells.memo_stats t.cells;
     pool = Exec.Pool.stats t.cfg.pool;
-    journal_cells =
-      (match t.cells_journal with
-      | Some j -> with_journals t (fun () -> Resil.Journal.size j)
-      | None -> 0);
+    journal_cells = Resil.Cells.journal_size t.cells;
     requests_served = Atomic.get t.requests_served;
     sampled_cells = Atomic.get t.sampled_cells }
 
 (* ----- cells ----- *)
-
-(* "%h" round-trips every float bit-for-bit through float_of_string. *)
-let payload_of_value v = Printf.sprintf "%h" v
-let value_of_payload s = float_of_string_opt s
 
 let cell_key ?sample ~eval_instrs ~train_instrs ~metric ~name (c : Grid.column) =
   Printf.sprintf "cell/%s/%s/%s/%s/%s/e%d/t%d%s" name
@@ -151,66 +134,18 @@ let cell_key ?sample ~eval_instrs ~train_instrs ~metric ~name (c : Grid.column) 
     | None -> ""
     | Some s -> "/sampled/" ^ Sample_config.to_string s)
 
-let journal_restore t key =
-  match t.cells_journal with
-  | None -> None
-  | Some j -> (
-    match with_journals t (fun () -> Resil.Journal.find j key) with
-    | None -> None
-    | Some payload -> (
-      match value_of_payload payload with
-      | Some v -> Some v
-      | None ->
-        (* Validated line, unparsable payload: a foreign writer.  Drop
-           it and recompute rather than trust it. *)
-        Resil.Log.record
-          (Resil.Log.Quarantined
-             { ident = key; reason = "journalled cell payload is not a float" });
-        None))
-
-let journal_checkpoint t key v =
-  match t.cells_journal with
-  | None -> ()
-  | Some j -> (
-    try with_journals t (fun () ->
-        Resil.Journal.record j ~key ~payload:(payload_of_value v))
-    with exn ->
-      (* An injected or real write failure loses the checkpoint, never
-         the result. *)
-      Resil.Log.record
-        (Resil.Log.Quarantined
-           { ident = key;
-             reason = "cell checkpoint failed: " ^ Printexc.to_string exn }))
-
-(* Acquire one cell: journal hit, live/completed memo entry, or a fresh
-   supervised spawn.  [find_or_run]'s thunk runs at most once per key at
-   a time, so [fresh] tells us whether *we* created the handle. *)
+(* Acquire one cell from the store: memo entry, journal hit or a fresh
+   supervised spawn. *)
 let acquire t ?sample ~metric ~eval_instrs ~train_instrs ~name column =
   let key = cell_key ?sample ~eval_instrs ~train_instrs ~metric ~name column in
-  let fresh = ref None in
-  let handle =
-    Exec.Memo.find_or_run t.cells key (fun () ->
-        match journal_restore t key with
-        | Some v ->
-          fresh := Some P.Journal_hit;
-          Resil.Log.record (Resil.Log.Restored { ident = key });
-          log t "journal hit %s" key;
-          Farm_cell.of_result (Ok v)
-        | None ->
-          fresh := Some P.Computed;
-          log t "spawn %s" key;
-          Farm_cell.spawn t.cfg.pool t.cfg.policy ~ident:key
-            ~on_success:(fun v -> journal_checkpoint t key v)
-            ~on_failure:(fun reason ->
-              (* Evict so a later request retries; never journalled. *)
-              Exec.Memo.remove t.cells key;
-              Resil.Log.record (Resil.Log.Degraded { ident = key; error = reason });
-              log t "degraded %s: %s" key reason)
-            (fun () ->
-              Grid.cell_value ?sample ~eval_instrs ~train_instrs ~name ~metric
-                column))
+  let source, handle =
+    Resil.Cells.acquire t.cells ~key (fun () ->
+        [| Grid.cell_value ?sample ~eval_instrs ~train_instrs ~name ~metric column |])
   in
-  let source = match !fresh with Some s -> s | None -> P.Memo_hit in
+  (match source with
+  | P.Journal_hit -> log t "journal hit %s" key
+  | P.Computed -> log t "spawn %s" key
+  | P.Memo_hit -> ());
   if sample <> None then Atomic.incr t.sampled_cells;
   (key, source, handle)
 
@@ -325,8 +260,12 @@ let serve_grid t ~send (g : P.grid_req) =
         | P.Computed -> incr computed
         | P.Memo_hit -> incr memo_hits
         | P.Journal_hit -> incr journal_hits);
-        let outcome = Farm_cell.await handle in
-        if Result.is_error outcome then incr degraded;
+        let outcome = Result.map (fun v -> v.(0)) (Resil.Cells.await handle) in
+        (match outcome with
+        | Ok _ -> ()
+        | Error reason ->
+          incr degraded;
+          log t "degraded %s: %s" key reason);
         send
           (P.Cell
              { cell_id = key;
@@ -343,10 +282,8 @@ let serve_grid t ~send (g : P.grid_req) =
     | None -> ()
     | Some j -> (
       try
-        with_journals t (fun () ->
-            Resil.Journal.record j ~key:"requests_served"
-              ~payload:(string_of_int served);
-            Resil.Journal.record j ~key:("last_request/" ^ g.tag) ~payload:g.id)
+        Resil.Journal.record j ~key:"requests_served" ~payload:(string_of_int served);
+        Resil.Journal.record j ~key:("last_request/" ^ g.tag) ~payload:g.id
       with _ -> ()));
     log t "grid %s (%s) done: %d cells, %d computed, %d memo, %d journal, %d degraded"
       g.tag g.id (nrows * ncols) !computed !memo_hits !journal_hits !degraded;
@@ -562,8 +499,7 @@ let run t =
       | None -> ()
       | Some j -> (
         try
-          with_journals t (fun () ->
-              Resil.Journal.record j ~key:"clean_shutdown"
-                ~payload:(string_of_int (Atomic.get t.requests_served)))
+          Resil.Journal.record j ~key:"clean_shutdown"
+            ~payload:(string_of_int (Atomic.get t.requests_served))
         with _ -> ()));
       log t "stopped after %d requests" (Atomic.get t.requests_served))

@@ -439,6 +439,136 @@ let test_journal_same_path_two_instances () =
   check (Alcotest.option Alcotest.string) "last line wins" (Some "new")
     (Resil.Journal.find fresh "shared")
 
+(* ---------------- Cells store ---------------- *)
+
+let with_pools f =
+  f Exec.Pool.sequential;
+  let pool = Exec.Pool.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> f pool)
+
+(* Run [f i] on [n] system threads at once, the way farm clients share
+   the store; results come back in index order. *)
+let on_threads n f =
+  let results = Array.make n None in
+  let m = Mutex.create () in
+  let threads =
+    List.init n (fun i ->
+        Thread.create
+          (fun () ->
+            let r = f i in
+            Mutex.protect m (fun () -> results.(i) <- Some r))
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.to_list (Array.map Option.get results)
+
+let cell_result =
+  Alcotest.(result (array (float 0.)) string)
+
+let degraded_events () =
+  List.filter
+    (function Resil.Log.Degraded _ -> true | _ -> false)
+    (Resil.Log.events ())
+
+let test_cells_single_flight () =
+  with_pools @@ fun pool ->
+  let store = Resil.Cells.create ~width:1 pool Resil.Supervise.default_policy in
+  let runs = Atomic.make 0 in
+  let thunk () =
+    Atomic.incr runs;
+    Unix.sleepf 0.05;
+    [| 42.5 |]
+  in
+  let seen =
+    on_threads 8 (fun _ ->
+        let source, h = Resil.Cells.acquire store ~key:"cell/one" thunk in
+        (source, Resil.Cells.await h))
+  in
+  check int "thunk ran once" 1 (Atomic.get runs);
+  check int "one acquire computed, the rest shared it" 1
+    (List.length (List.filter (fun (s, _) -> s = Resil.Cells.Computed) seen));
+  List.iter
+    (fun (_, r) -> check cell_result "every awaiter sees the result" (Ok [| 42.5 |]) r)
+    seen
+
+let test_cells_failure_evicted () =
+  with_pools @@ fun pool ->
+  with_temp_journal @@ fun path ->
+  Resil.Log.clear ();
+  let journal = Resil.Journal.load ~path ~signature:"cells-test" in
+  let store = Resil.Cells.create ~journal ~width:1 pool Resil.Supervise.default_policy in
+  let runs = Atomic.make 0 in
+  let thunk () =
+    if Atomic.fetch_and_add runs 1 = 0 then failwith "first run fails" else [| 7. |]
+  in
+  let source, h = Resil.Cells.acquire store ~key:"cell/flaky" thunk in
+  check bool "first acquire computes" true (source = Resil.Cells.Computed);
+  let seen = on_threads 4 (fun _ -> Resil.Cells.await h) in
+  List.iter
+    (fun r -> check bool "every awaiter sees the failure" true (Result.is_error r))
+    seen;
+  check int "Degraded logged once" 1 (List.length (degraded_events ()));
+  check (Alcotest.option Alcotest.string) "failure never journalled" None
+    (Resil.Journal.find journal "cell/flaky");
+  let source, h = Resil.Cells.acquire store ~key:"cell/flaky" thunk in
+  check bool "next acquire recomputes" true (source = Resil.Cells.Computed);
+  check cell_result "recomputed value" (Ok [| 7. |]) (Resil.Cells.await h);
+  check int "thunk ran twice" 2 (Atomic.get runs);
+  check int "still one Degraded" 1 (List.length (degraded_events ()));
+  check bool "recomputed value journalled" true
+    (Resil.Journal.find journal "cell/flaky" <> None)
+
+(* Values whose bits "%h" alone would lose (Float.nan's payload) as well
+   as signed zero, subnormals and infinities. *)
+let awkward =
+  [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7ff0000000000123L; -0.; 1e-310;
+     infinity; neg_infinity; Float.max_float; 0.1 |]
+
+let test_cells_journal_hit () =
+  with_temp_journal @@ fun path ->
+  let width = Array.length awkward in
+  let policy = Resil.Supervise.default_policy in
+  let store () =
+    Resil.Cells.create
+      ~journal:(Resil.Journal.load ~path ~signature:"cells-test")
+      ~width Exec.Pool.sequential policy
+  in
+  let source, h =
+    Resil.Cells.acquire (store ()) ~key:"cell/awkward" (fun () -> awkward)
+  in
+  check bool "computed" true (source = Resil.Cells.Computed);
+  ignore (Resil.Cells.await h);
+  Resil.Log.clear ();
+  (* A fresh store on a fresh load: a new process resuming. *)
+  let source, h =
+    Resil.Cells.acquire (store ()) ~key:"cell/awkward" (fun () ->
+        Alcotest.fail "a journalled cell must not recompute")
+  in
+  check bool "journal hit" true (source = Resil.Cells.Journal_hit);
+  (match Resil.Cells.await h with
+  | Ok v ->
+    check (Alcotest.array Alcotest.int64) "bit-for-bit round trip"
+      (Array.map Int64.bits_of_float awkward)
+      (Array.map Int64.bits_of_float v)
+  | Error e -> Alcotest.fail e);
+  check bool "restore logged" true
+    (List.mem (Resil.Log.Restored { ident = "cell/awkward" }) (Resil.Log.events ()));
+  (* The same payload read at another width does not parse: quarantined
+     and recomputed, never trusted. *)
+  let narrow =
+    Resil.Cells.create
+      ~journal:(Resil.Journal.load ~path ~signature:"cells-test")
+      ~width:1 Exec.Pool.sequential policy
+  in
+  let source, h = Resil.Cells.acquire narrow ~key:"cell/awkward" (fun () -> [| 3. |]) in
+  check bool "wrong width recomputes" true (source = Resil.Cells.Computed);
+  check cell_result "recomputed" (Ok [| 3. |]) (Resil.Cells.await h);
+  check bool "quarantine logged" true
+    (List.exists
+       (function
+         | Resil.Log.Quarantined { ident = "cell/awkward"; _ } -> true | _ -> false)
+       (Resil.Log.events ()))
+
 (* ---------------- Runner memo integrity ---------------- *)
 
 let test_runner_memo_corruption_recovers () =
@@ -646,6 +776,30 @@ let test_grid_resume_from_journal () =
   check int "no degradation on resume" 0 degraded;
   check int "all but the crashed cell restored" 15 restored
 
+(* A digest-valid journal line proves the bytes are intact, not that
+   they are a cell value: a payload of another type is quarantined and
+   the cell recomputed, so the figure matches a clean run. *)
+let test_grid_foreign_payload_quarantined () =
+  with_temp_journal @@ fun path ->
+  let sizes = { Experiments.eval_instrs = 4_000; train_instrs = 3_000 } in
+  Runner.clear_cache ();
+  Resil.Log.clear ();
+  let clean = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+  let j = Resil.Journal.load ~path ~signature:"fig4-test" in
+  Resil.Journal.record j ~key:"fig4/mcf/0" ~payload:(Marshal.to_string "x" []);
+  Runner.clear_cache ();
+  Resil.Log.clear ();
+  Experiments.set_resilience
+    ~journal:(Resil.Journal.load ~path ~signature:"fig4-test")
+    Resil.Supervise.default_policy;
+  let out = capture_stdout (fun () -> ignore (Experiments.fig4 ~sizes ())) in
+  check bool "foreign payload quarantined" true
+    (List.exists
+       (function
+         | Resil.Log.Quarantined { ident = "fig4/mcf/0"; _ } -> true | _ -> false)
+       (Resil.Log.events ()));
+  check Alcotest.string "figure matches a clean run" clean out
+
 let () =
   Alcotest.run "resil"
     [ ( "clock+backoff",
@@ -680,6 +834,13 @@ let () =
             (isolated test_journal_named_in_dir);
           Alcotest.test_case "same-path-two-instances" `Quick
             (isolated test_journal_same_path_two_instances) ] );
+      ( "cells",
+        [ Alcotest.test_case "single-flight-8-threads" `Quick
+            (isolated test_cells_single_flight);
+          Alcotest.test_case "failure-degraded-once-evicted" `Quick
+            (isolated test_cells_failure_evicted);
+          Alcotest.test_case "journal-hit-bit-exact" `Quick
+            (isolated test_cells_journal_hit) ] );
       ( "runner",
         [ Alcotest.test_case "memo-corruption-recovers" `Slow
             (isolated test_runner_memo_corruption_recovers) ] );
@@ -689,4 +850,6 @@ let () =
             (isolated test_fig4_identical_across_jobs_under_faults) ] );
       ( "resume",
         [ Alcotest.test_case "grid-resume-from-journal" `Slow
-            (isolated test_grid_resume_from_journal) ] ) ]
+            (isolated test_grid_resume_from_journal);
+          Alcotest.test_case "foreign-payload-quarantined" `Slow
+            (isolated test_grid_foreign_payload_quarantined) ] ) ]

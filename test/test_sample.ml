@@ -1,10 +1,9 @@
 (* Tests for lib/sample — interval (SMARTS-style) sampling with
-   confidence bounds, and checkpointed time-parallel simulation.
+   confidence bounds.
 
    The acceptance bar: on every catalog workload the sampled CPI must
    fall within its own declared 95% confidence interval of the full
-   detailed run, and the chunk-parallel engine must stitch statistics
-   that are byte-identical across pool sizes. *)
+   detailed run. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -106,68 +105,6 @@ let test_target_ci_grows_units () =
     true
     (tight.Sampler.config.Sample_config.units
     > loose.Sampler.config.Sample_config.units)
-
-(* ---------------- time-parallel chunking ---------------- *)
-
-let test_chunked_deterministic_across_pools () =
-  let trace = trace_of ~instrs:60_000 "mcf" in
-  let layout = layout_of trace in
-  let run pool = Chunked.run ~layout ~pool ~chunks:4 ~warmup:2_000 cfg trace in
-  let seq = run Exec.Pool.sequential in
-  let with_pool workers =
-    let pool = Exec.Pool.create ~workers () in
-    Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) (fun () -> run pool)
-  in
-  let p2 = with_pool 2 in
-  let p8 = with_pool 8 in
-  check bool "jobs 1 = jobs 2" true (seq = p2);
-  check bool "jobs 1 = jobs 8" true (seq = p8);
-  check int "chunks used" 4 seq.Chunked.chunks;
-  check int "retired partitions the trace" 60_000
-    seq.Chunked.stats.Cpu_stats.retired
-
-let test_chunked_matches_full () =
-  let trace = trace_of ~instrs:60_000 "mcf" in
-  let layout = layout_of trace in
-  let full = Cpu_core.run ~layout cfg trace in
-  let r = Chunked.run ~layout ~chunks:4 ~warmup:5_000 cfg trace in
-  check int "retired exactly the trace" full.Cpu_stats.retired
-    r.Chunked.stats.Cpu_stats.retired;
-  check int "per-chunk retired sums to the trace" full.Cpu_stats.retired
-    (Array.fold_left
-       (fun a (s : Cpu_stats.t) -> a + s.Cpu_stats.retired)
-       0 r.Chunked.per_chunk);
-  (* Cold-start warmup re-converges the pipeline, so the stitched cycle
-     count tracks the monolithic run closely; 1% headroom covers the
-     boundary effects warmup cannot erase. *)
-  let rel =
-    Float.abs
-      (float_of_int r.Chunked.stats.Cpu_stats.cycles
-      -. float_of_int full.Cpu_stats.cycles)
-    /. float_of_int full.Cpu_stats.cycles
-  in
-  if rel > 0.01 then
-    Alcotest.failf "stitched cycles %d vs full %d (%.2f%% off, budget 1%%)"
-      r.Chunked.stats.Cpu_stats.cycles full.Cpu_stats.cycles (100. *. rel)
-
-let test_chunked_journal_reuse () =
-  let trace = trace_of ~instrs:40_000 "gcc" in
-  let layout = layout_of trace in
-  let path = Filename.temp_file "crisp_chunk" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path; path ^ ".bad"; path ^ ".tmp" ])
-    (fun () ->
-      let signature = "test chunked gcc 40k" in
-      let j1 = Resil.Journal.load ~path ~signature in
-      let a = Chunked.run ~layout ~journal:j1 ~chunks:4 ~warmup:2_000 cfg trace in
-      (* A fresh journal handle replays the recorded checkpoints. *)
-      let j2 = Resil.Journal.load ~path ~signature in
-      check bool "checkpoints recorded" true (Resil.Journal.size j2 > 0);
-      let b = Chunked.run ~layout ~journal:j2 ~chunks:4 ~warmup:2_000 cfg trace in
-      check bool "journalled rerun is identical" true (a = b))
 
 (* ---------------- fast-forward vs detailed prefix ---------------- *)
 
@@ -298,53 +235,6 @@ let prop_fast_forward_matches_detailed_prefix =
             (List.length snaps) (List.length truncated)
       end)
 
-(* ---------------- Warm checkpoints ---------------- *)
-
-(* Round-trip the warm state mid-trace: a restored copy must replay the
-   same suffix with the same touch outcomes, and a detail window opened
-   on it must report the same statistics as one opened on the original. *)
-let test_warm_checkpoint_roundtrip () =
-  let trace = trace_of ~instrs:20_000 "mcf" in
-  let layout = layout_of trace in
-  let dyns = trace.Executor.dyns in
-  let warm = Cpu_core.warm_create cfg in
-  for i = 0 to 7_999 do
-    ignore (Cpu_core.warm_touch warm layout dyns.(i))
-  done;
-  let copy = Cpu_core.warm_restore (Cpu_core.warm_checkpoint warm) in
-  check int "position restored" 8_000 (Cpu_core.warm_pos copy);
-  let replay w =
-    List.init 4_000 (fun k -> Cpu_core.warm_touch w layout dyns.(8_000 + k))
-  in
-  let outcomes = replay warm in
-  check bool "touch outcomes identical" true (outcomes = replay copy);
-  check bool "suffix saw loads served from memory" true
-    (List.mem Cpu_core.Touch_mem outcomes);
-  let window w =
-    Cpu_core.run_window ~layout ~warm:w ~start:(Cpu_core.warm_pos w) ~warmup:500
-      ~measure:2_000 cfg trace
-  in
-  check bool "run_window stats identical" true (window warm = window copy);
-  check int "window advanced the position" 14_500 (Cpu_core.warm_pos copy)
-
-let test_warm_restore_rejects () =
-  let rejects what blob =
-    match Cpu_core.warm_restore blob with
-    | _ -> Alcotest.failf "%s accepted" what
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "empty blob" "";
-  rejects "garbage" "not a checkpoint at all";
-  let current = Cpu_core.warm_checkpoint (Cpu_core.warm_create cfg) in
-  let magic = "crisp-warm2:" in
-  check bool "current magic" true
-    (String.sub current 0 (String.length magic) = magic);
-  (* The previous layout: a tuple of nested blobs behind [crisp-warm1:]. *)
-  rejects "crisp-warm1 blob"
-    ("crisp-warm1:"
-    ^ String.sub current (String.length magic)
-        (String.length current - String.length magic))
-
 let () =
   Alcotest.run "sample"
     [ ( "config",
@@ -357,18 +247,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sampler_deterministic;
           Alcotest.test_case "target CI grows units" `Quick
             test_target_ci_grows_units ] );
-      ( "chunked",
-        [ Alcotest.test_case "deterministic across pools" `Quick
-            test_chunked_deterministic_across_pools;
-          Alcotest.test_case "matches the monolithic run" `Quick
-            test_chunked_matches_full;
-          Alcotest.test_case "journal reuse" `Quick test_chunked_journal_reuse
-        ] );
-      ( "warm",
-        [ Alcotest.test_case "checkpoint round-trip" `Quick
-            test_warm_checkpoint_roundtrip;
-          Alcotest.test_case "restore rejects old and garbage blobs" `Quick
-            test_warm_restore_rejects ] );
       ( "fast_forward",
         [ QCheck_alcotest.to_alcotest prop_fast_forward_matches_detailed_prefix
         ] ) ]
